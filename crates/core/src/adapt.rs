@@ -408,6 +408,57 @@ mod tests {
         assert_eq!(t1, t4, "thread count must not change a single bit");
     }
 
+    #[test]
+    fn patched_mesh_records_a_fresh_leaf_plan() {
+        // The leaf plan belongs to the mesh: apply (recording a plan),
+        // adapt in place through the patch path, and reuse the workspace.
+        // The next MATVEC must record a new plan and equal, bit for bit, the
+        // MATVEC of a from-scratch mesh over the same elements.
+        fn kernel(e: &Octant<2>, vals: &[f64], out: &mut [f64]) {
+            let s = e.side() as f64;
+            for (o, v) in out.iter_mut().zip(vals) {
+                *o = s.mul_add(*v, *v);
+            }
+        }
+        fn apply(c: &Comm, dm: &DistMesh<2>, ws: &mut TraversalWorkspace<2>) -> (Vec<u64>, u64) {
+            let x: Vec<f64> = dm.nodes.coords.iter().map(keyed).collect();
+            let mut y = vec![0.0; dm.nodes.len()];
+            let before = carve_obs::thread_snapshot();
+            dm.matvec_ws(c, &x, &mut y, ws, GhostState::Ghosted, &mut kernel);
+            let d = carve_obs::thread_snapshot().diff(&before);
+            let plans = d
+                .phases
+                .get("matvec/plan")
+                .map_or(0, |p| p.counters["plans"]);
+            (y.iter().map(|v| v.to_bits()).collect(), plans)
+        }
+        let run = |threads: usize| {
+            run_spmd(3, move |c| {
+                let _on = carve_obs::force_enabled();
+                let domain = sphere_domain_2d();
+                let mut dm = DistMesh::<2>::build(c, &domain, Curve::Hilbert, 3, 5, 2);
+                let mut ws = TraversalWorkspace::with_threads(threads);
+                assert_eq!(apply(c, &dm, &mut ws).1, 1, "first apply records");
+                assert_eq!(apply(c, &dm, &mut ws).1, 0, "later applies replay");
+                let params = AdaptParams {
+                    repart_tol: f64::INFINITY,
+                    ..AdaptParams::default()
+                };
+                let out = dm.adapt(c, &domain, &band_decisions(&dm, 0.36, 0.05), &params);
+                assert!(!out.migrated);
+                assert!(out.refined > 0 && out.coarsened > 0, "{out:?}");
+                let (bits, plans) = apply(c, &dm, &mut ws);
+                assert_eq!(plans, 1, "the patched mesh records its own plan");
+                let owned: Vec<Octant<2>> = dm.elems[dm.owned.clone()].to_vec();
+                let fresh = DistMesh::finish(c, &domain, Curve::Hilbert, owned, 2);
+                let (fresh_bits, _) = apply(c, &fresh, &mut TraversalWorkspace::with_threads(1));
+                assert_eq!(bits, fresh_bits, "patched vs from-scratch matvec");
+                bits
+            })
+        };
+        assert_eq!(run(1), run(4), "thread count must not change a single bit");
+    }
+
     fn keyed<const DIM: usize>(coord: &[u64; DIM]) -> f64 {
         let h = coord.iter().fold(0x243F6A8885A308D3u64, |h, &c| {
             (h ^ c).wrapping_mul(0x9E3779B97F4A7C15)

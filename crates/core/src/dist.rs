@@ -717,6 +717,7 @@ pub(crate) fn needed_node_set<const DIM: usize>(
         order,
         coords,
         flags,
+        plan: Default::default(),
     }
 }
 

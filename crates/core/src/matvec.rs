@@ -31,18 +31,30 @@
 //!
 //! All bucket vectors come from a [`TraversalWorkspace`] arena that pools
 //! them across recursion levels *and* across repeated calls (Krylov
-//! iterations), and leaves resolve their lattice slots with one merge-sweep
-//! over the (Morton-sorted) bucket instead of `npe` binary searches.
-//! Observability: `par_workers`, `arena_alloc`, `arena_reuse`, and
-//! `slot_sweep_hits` counters join the existing `leaves` / `node_copies`.
+//! iterations). Observability: `par_workers`, `arena_alloc` and
+//! `arena_reuse` counters join the existing `leaves` / `node_copies`.
+//!
+//! # Leaf plans (DESIGN.md §6j)
+//!
+//! Which bucket slot each leaf lattice slot reads, and how each hanging
+//! slot interpolates from ancestor buckets, depends on the mesh only. The
+//! first MATVEC on a mesh records it once — one coords-only descent, a
+//! merge-sweep per leaf, ancestor binary searches for hanging chains —
+//! into a `LeafPlan` owned by the mesh's [`NodeSet`] (phase
+//! `matvec/plan`: `plans`, `hanging_slots`, `program_terms`, `plan_bytes`,
+//! `slot_sweep_hits`). Every MATVEC then gathers and scatters through the
+//! plan alone: a leaf-bucket slot is a direct read/accumulate, a hanging
+//! program replays `v += w · eval(term)` / `scatter(term, w · val)` in the
+//! recursion order of the per-call resolution it replaces, so every
+//! floating-point operation — and the output — is bitwise unchanged.
 //!
 //! # Batched leaf panels (DESIGN.md §6h)
 //!
 //! Inside a task, maximal runs of SFC-consecutive same-level sibling leaves
 //! are processed as one structure-of-arrays panel (`npe × batch`, element
 //! lane innermost) when the elemental kernel opts in via
-//! [`LeafKernel::supports_panels`]: each leaf of the run gets its own
-//! merge-sweep slot map, the gathers are hoisted ahead of the batched apply
+//! [`LeafKernel::supports_panels`]: the per-leaf plan gathers are hoisted
+//! ahead of the batched apply
 //! (they only read `vin`, which the traversal never writes), the kernel
 //! runs once over the whole panel, and the per-leaf scatters + bottom-up
 //! merges then replay in exact SFC element order — scatter of leaf `b+1`
@@ -60,6 +72,7 @@ use carve_la::DenseMatrix;
 use carve_sfc::morton::point_cmp_morton;
 use carve_sfc::{Curve, Octant, SfcState};
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 // Phase taxonomy (see DESIGN.md §"Observability"): the traversal engine
 // reports through `carve-obs` under its caller's root scope — `"matvec"`
@@ -106,7 +119,7 @@ impl<const DIM: usize> Bucket<DIM> {
 // --- Workspace arena ------------------------------------------------------
 
 /// Per-worker scratch: a bucket free-list for the task-local recursion, the
-/// hanging-source arena stack, and the depth stack container itself. Lives
+/// SoA panel buffers, and the depth stack container itself. Lives
 /// in the workspace so repeated matvecs (Krylov iterations) allocate
 /// nothing after warm-up.
 #[derive(Default)]
@@ -115,13 +128,10 @@ struct WorkerScratch<const DIM: usize> {
     own_stack: Vec<Bucket<DIM>>,
     /// Per-sibling buckets of the leaf run currently processed as a panel.
     panel_stack: Vec<Bucket<DIM>>,
-    /// SoA panel values (`npe × batch`, element lane innermost) and the
-    /// per-leaf slot maps of the run — pooled here so steady-state batched
-    /// applies allocate nothing.
+    /// SoA panel values (`npe × batch`, element lane innermost) — pooled
+    /// here so steady-state batched applies allocate nothing.
     panel_in: Vec<f64>,
     panel_out: Vec<f64>,
-    panel_slots: Vec<u32>,
-    srcs: Vec<([u64; DIM], f64)>,
     alloc: u64,
     reuse: u64,
 }
@@ -300,10 +310,9 @@ struct Ctx<'a, const DIM: usize> {
     free: &'a mut Vec<Bucket<DIM>>,
     /// Buckets of the sibling run currently processed as a leaf panel.
     panel: &'a mut Vec<Bucket<DIM>>,
-    /// SoA panel value buffers and per-leaf slot maps (workspace arena).
+    /// SoA panel value buffers (workspace arena).
     panel_in: &'a mut Vec<f64>,
     panel_out: &'a mut Vec<f64>,
-    panel_slots: &'a mut Vec<u32>,
     alloc: &'a mut u64,
     reuse: &'a mut u64,
 }
@@ -416,58 +425,6 @@ fn push_hanging_sources<const DIM: usize>(
     }
 }
 
-/// Evaluates the FE value at `coord` (p-lattice of the level-`depth`
-/// ancestor of `leaf`) from the bucket stack, resolving hanging chains.
-fn eval_coord<const DIM: usize>(
-    ctx: &Ctx<'_, DIM>,
-    leaf: &Octant<DIM>,
-    depth: usize,
-    coord: &[u64; DIM],
-    p: u64,
-    srcs: &mut Vec<([u64; DIM], f64)>,
-) -> f64 {
-    let b = ctx.bucket(depth);
-    if let Some(i) = b.find(coord) {
-        return b.vin[i];
-    }
-    let oct = leaf.ancestor_at(depth as u8);
-    let base = srcs.len();
-    push_hanging_sources(&oct, coord, p, srcs);
-    let end = srcs.len();
-    let mut v = 0.0;
-    for k in base..end {
-        let (src, w) = srcs[k];
-        v += w * eval_coord(ctx, leaf, depth - 1, &src, p, srcs);
-    }
-    srcs.truncate(base);
-    v
-}
-
-/// Transpose of [`eval_coord`]: scatters `val` into the bucket stack.
-fn scatter_coord<const DIM: usize>(
-    ctx: &mut Ctx<'_, DIM>,
-    leaf: &Octant<DIM>,
-    depth: usize,
-    coord: &[u64; DIM],
-    val: f64,
-    p: u64,
-    srcs: &mut Vec<([u64; DIM], f64)>,
-) {
-    if let Some(i) = ctx.bucket(depth).find(coord) {
-        ctx.vout_add(depth, i, val);
-        return;
-    }
-    let oct = leaf.ancestor_at(depth as u8);
-    let base = srcs.len();
-    push_hanging_sources(&oct, coord, p, srcs);
-    let end = srcs.len();
-    for k in base..end {
-        let (src, w) = srcs[k];
-        scatter_coord(ctx, leaf, depth - 1, &src, w * val, p, srcs);
-    }
-    srcs.truncate(base);
-}
-
 /// Resolves `coord` into a `(global id, weight)` stencil (assembly path).
 #[allow(clippy::too_many_arguments)]
 fn stencil_coord<const DIM: usize>(
@@ -494,6 +451,327 @@ fn stencil_coord<const DIM: usize>(
         stencil_coord(ctx, leaf, depth - 1, &src, weight * w, p, srcs, out);
     }
     srcs.truncate(base);
+}
+
+// --- Leaf plan ------------------------------------------------------------
+
+/// Plan-ref flag: the low bits index a hanging program, not a bucket slot.
+const HANG: u32 = 1 << 31;
+
+/// What a leaf plan was recorded for, compared in O(1) on every use: a
+/// traversal whose mesh shape differs records a fresh plan.
+#[derive(Clone, PartialEq, Debug)]
+struct PlanKey {
+    elems: usize,
+    owned: Range<usize>,
+    curve: Curve,
+    p: u64,
+    nodes: usize,
+    /// Hash of the first, last and owned-end elements and of the first and
+    /// last node coordinates.
+    ends: u64,
+}
+
+impl PlanKey {
+    fn new<const DIM: usize>(env: &Env<'_, DIM>, nodes: &NodeSet<DIM>) -> Self {
+        let picks = [0, env.owned.start, env.owned.end - 1, env.elems.len() - 1];
+        let elems = picks.iter().filter_map(|&i| env.elems.get(i));
+        let coords = nodes.coords.first().into_iter().chain(nodes.coords.last());
+        Self {
+            elems: env.elems.len(),
+            owned: env.owned.clone(),
+            curve: env.curve,
+            p: env.p,
+            nodes: nodes.len(),
+            ends: fnv1a(
+                elems
+                    .flat_map(octant_words)
+                    .chain(coords.flatten().copied()),
+            ),
+        }
+    }
+}
+
+fn octant_words<const DIM: usize>(o: &Octant<DIM>) -> impl Iterator<Item = u64> + '_ {
+    o.anchor
+        .iter()
+        .map(|&a| a as u64)
+        .chain(std::iter::once(o.level as u64))
+}
+
+/// Word-wise FNV-1a.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Hash of every element and node coordinate: the debug-build check that a
+/// plan whose shape matches was not recorded for different contents.
+fn content_hash<const DIM: usize>(elems: &[Octant<DIM>], nodes: &NodeSet<DIM>) -> u64 {
+    fnv1a(
+        elems
+            .iter()
+            .flat_map(octant_words)
+            .chain(nodes.coords.iter().flatten().copied()),
+    )
+}
+
+/// A mesh's leaf plan (DESIGN.md §6j): for every owned leaf, its `npe`
+/// lattice slots as refs. A ref below [`HANG`] is a slot of the leaf's own
+/// bucket; `HANG | i` is hanging program `i`, whose terms `(w, to)` each
+/// name a target one bucket level up — again a slot or a program. Terms
+/// keep the source order of `push_hanging_sources`, so replaying a program
+/// performs the floating-point operations of the recursive per-call
+/// resolution it replaces, one for one.
+#[derive(Debug)]
+pub(crate) struct LeafPlan {
+    key: PlanKey,
+    content: u64,
+    npe: usize,
+    /// `npe` refs per owned leaf, in element order.
+    refs: Vec<u32>,
+    /// Program `i`'s terms are `start[i]..start[i + 1]` of `w` / `to`.
+    start: Vec<u32>,
+    w: Vec<f64>,
+    to: Vec<u32>,
+}
+
+impl LeafPlan {
+    /// The refs of owned element `ei`.
+    #[inline]
+    fn refs(&self, ei: usize) -> &[u32] {
+        let at = (ei - self.key.owned.start) * self.npe;
+        &self.refs[at..at + self.npe]
+    }
+
+    /// Value of ref `r` at bucket depth `depth`.
+    fn eval<const DIM: usize>(&self, ctx: &Ctx<'_, DIM>, depth: usize, r: u32) -> f64 {
+        if r < HANG {
+            return ctx.bucket(depth).vin[r as usize];
+        }
+        let prog = (r - HANG) as usize;
+        let mut v = 0.0;
+        for t in self.start[prog] as usize..self.start[prog + 1] as usize {
+            v += self.w[t] * self.eval(ctx, depth - 1, self.to[t]);
+        }
+        v
+    }
+
+    /// Transpose of [`Self::eval`]: accumulates `val` into the slots `r`
+    /// reads from.
+    fn scatter<const DIM: usize>(&self, ctx: &mut Ctx<'_, DIM>, depth: usize, r: u32, val: f64) {
+        if r < HANG {
+            ctx.vout_add(depth, r as usize, val);
+            return;
+        }
+        let prog = (r - HANG) as usize;
+        for t in self.start[prog] as usize..self.start[prog + 1] as usize {
+            self.scatter(ctx, depth - 1, self.to[t], self.w[t] * val);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        4 * (self.refs.len() + self.start.len() + self.to.len()) + 8 * self.w.len()
+    }
+}
+
+/// The lazily recorded leaf plan a [`NodeSet`] holds for its mesh. Empty
+/// until the first MATVEC; replacing the node set (mesh adaptation) drops
+/// it, and a clone starts empty. Fork-join workers share it read-only.
+#[derive(Default, Debug)]
+pub(crate) struct PlanCell(Mutex<Option<Arc<LeafPlan>>>);
+
+impl Clone for PlanCell {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// The plan `nodes` holds for this traversal's mesh, recording (and
+/// keeping) a fresh one when there is none or its shape differs.
+fn leaf_plan<const DIM: usize>(env: &Env<'_, DIM>, nodes: &NodeSet<DIM>) -> Arc<LeafPlan> {
+    let key = PlanKey::new(env, nodes);
+    let mut cell = nodes.plan.0.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(plan) = cell.as_ref().filter(|plan| plan.key == key) {
+        debug_assert_eq!(
+            plan.content,
+            content_hash(env.elems, nodes),
+            "stale leaf plan: the mesh changed without changing shape"
+        );
+        return Arc::clone(plan);
+    }
+    let plan = Arc::new(record_plan(env, nodes, key));
+    *cell = Some(Arc::clone(&plan));
+    plan
+}
+
+/// Records the leaf plan with one coords-only descent over the owned
+/// subtrees (the buckets are those every MATVEC builds), reporting under
+/// the `plan` phase.
+fn record_plan<const DIM: usize>(
+    env: &Env<'_, DIM>,
+    nodes: &NodeSet<DIM>,
+    key: PlanKey,
+) -> LeafPlan {
+    let _obs = carve_obs::scope("plan");
+    let npe = nodes_per_elem::<DIM>(env.p);
+    let mut root = Bucket::default();
+    root.coords.extend_from_slice(&nodes.coords);
+    let mut rec = Recorder {
+        env,
+        plan: LeafPlan {
+            key,
+            content: content_hash(env.elems, nodes),
+            npe,
+            refs: Vec::with_capacity(env.owned.len() * npe),
+            start: Vec::new(),
+            w: Vec::new(),
+            to: Vec::new(),
+        },
+        stack: vec![root],
+        free: Vec::new(),
+        srcs: Vec::new(),
+        slots: vec![NO_SLOT; npe],
+        hits: 0,
+        hanging: 0,
+    };
+    rec.walk(Octant::ROOT, SfcState::ROOT, 0..env.elems.len());
+    let mut plan = rec.plan;
+    plan.start.push(plan.w.len() as u32);
+    carve_obs::counter("plans", 1);
+    carve_obs::counter("slot_sweep_hits", rec.hits);
+    carve_obs::counter("hanging_slots", rec.hanging);
+    carve_obs::counter("program_terms", plan.w.len() as u64);
+    carve_obs::counter("plan_bytes", plan.bytes() as u64);
+    plan
+}
+
+/// Recording state: the depth-indexed coords-only bucket path, a bucket
+/// free-list, and the hanging-source arena stack.
+struct Recorder<'a, const DIM: usize> {
+    env: &'a Env<'a, DIM>,
+    plan: LeafPlan,
+    stack: Vec<Bucket<DIM>>,
+    free: Vec<Bucket<DIM>>,
+    srcs: Vec<([u64; DIM], f64)>,
+    slots: Vec<u32>,
+    hits: u64,
+    hanging: u64,
+}
+
+impl<const DIM: usize> Recorder<'_, DIM> {
+    /// The traversal's descent (same owned-subtree restriction, same bucket
+    /// fills), visiting owned leaves in element order.
+    fn walk(&mut self, subtree: Octant<DIM>, st: SfcState, range: Range<usize>) {
+        let env = self.env;
+        if range.len() == 1 && env.elems[range.start] == subtree {
+            if env.owned.contains(&range.start) {
+                self.leaf(range.start, &subtree);
+            }
+            return;
+        }
+        let child_level = subtree.level + 1;
+        let mut lo = range.start;
+        for r in 0..(1usize << DIM) {
+            let hi = run_end(env, st, child_level, lo..range.end, r);
+            if hi == lo {
+                continue;
+            }
+            if lo < env.owned.end && hi > env.owned.start {
+                let child_oct = subtree.child(st.sfc_to_morton(env.curve, DIM, r));
+                let mut b = self.free.pop().unwrap_or_default();
+                b.clear();
+                let parent = &self.stack[self.stack.len() - 1];
+                fill_child_bucket(parent, &child_oct, env.p, false, false, &mut b);
+                self.stack.push(b);
+                self.walk(child_oct, st.child(env.curve, DIM, r), lo..hi);
+                let b = self.stack.pop().expect("child bucket");
+                self.free.push(b);
+            }
+            lo = hi;
+        }
+    }
+
+    /// One merge-sweep maps the leaf bucket onto lattice slots; every slot
+    /// it leaves open is hanging and gets a program.
+    fn leaf(&mut self, ei: usize, leaf: &Octant<DIM>) {
+        let p = self.env.p;
+        let depth = leaf.level as usize;
+        debug_assert_eq!(self.stack.len(), depth + 1);
+        debug_assert_eq!(
+            self.plan.refs.len(),
+            (ei - self.env.owned.start) * self.plan.npe
+        );
+        self.slots.fill(NO_SLOT);
+        for (i, c) in self.stack[depth].coords.iter().enumerate() {
+            if let Some(lin) = lattice_linear(leaf, p, c) {
+                self.slots[lin] = i as u32;
+                self.hits += 1;
+            }
+        }
+        for lin in 0..self.plan.npe {
+            let r = match self.slots[lin] {
+                NO_SLOT => {
+                    self.hanging += 1;
+                    let c = elem_node_coord(leaf, p, &lattice_index::<DIM>(lin, p));
+                    self.resolve(leaf, depth, &c)
+                }
+                s => s,
+            };
+            self.plan.refs.push(r);
+        }
+    }
+
+    /// Ref for `coord` at bucket depth `depth`: its slot there, or a new
+    /// program over its one-level-up interpolation sources. A program
+    /// claims its block of terms before its sources resolve, so
+    /// sub-programs append after it and every block stays contiguous.
+    fn resolve(&mut self, leaf: &Octant<DIM>, depth: usize, coord: &[u64; DIM]) -> u32 {
+        if let Some(i) = self.stack[depth].find(coord) {
+            return i as u32;
+        }
+        let src_base = self.srcs.len();
+        push_hanging_sources(
+            &leaf.ancestor_at(depth as u8),
+            coord,
+            self.env.p,
+            &mut self.srcs,
+        );
+        let prog = self.plan.start.len() as u32;
+        assert!(prog < HANG, "leaf plan program index overflow");
+        let at = self.plan.w.len();
+        self.plan.start.push(at as u32);
+        self.plan
+            .w
+            .extend(self.srcs[src_base..].iter().map(|s| s.1));
+        self.plan.to.resize(self.plan.w.len(), 0);
+        for k in 0..self.srcs.len() - src_base {
+            let src = self.srcs[src_base + k].0;
+            self.plan.to[at + k] = self.resolve(leaf, depth - 1, &src);
+        }
+        self.srcs.truncate(src_base);
+        HANG | prog
+    }
+}
+
+/// End of the run of `elems[run]` (SFC-sorted, so contiguous) that falls in
+/// SFC child rank `r` of a subtree whose children sit at `child_level`.
+#[inline]
+fn run_end<const DIM: usize>(
+    env: &Env<'_, DIM>,
+    st: SfcState,
+    child_level: u8,
+    run: Range<usize>,
+    r: usize,
+) -> usize {
+    let mut hi = run.start;
+    while hi < run.end
+        && st.morton_to_sfc(env.curve, DIM, env.elems[hi].child_bits_at(child_level)) == r
+    {
+        hi += 1;
+    }
+    hi
 }
 
 // --- Spine / task decomposition -------------------------------------------
@@ -604,12 +882,7 @@ fn grow<const DIM: usize>(
     let child_level = subtree.level + 1;
     let mut lo = range.start;
     for r in 0..(1usize << DIM) {
-        let mut hi = lo;
-        while hi < range.end
-            && st.morton_to_sfc(env.curve, DIM, env.elems[hi].child_bits_at(child_level)) == r
-        {
-            hi += 1;
-        }
+        let hi = run_end(env, st, child_level, lo..range.end, r);
         if hi == lo {
             continue;
         }
@@ -786,17 +1059,12 @@ where
 
 // --- Task execution -------------------------------------------------------
 
-/// What to do at each owned leaf. Visitors that can consume sibling runs as
-/// panels report a `panel_width() > 1` and implement the three-phase panel
-/// protocol (`gather×B → apply → scatter per leaf in SFC order`).
+/// What to do at each owned leaf (`ei` is its index in `elems`). Visitors
+/// that can consume sibling runs as panels report a `panel_width() > 1` and
+/// implement the three-phase panel protocol (`gather×B → apply → scatter
+/// per leaf in SFC order`).
 trait LeafVisitor<const DIM: usize> {
-    fn leaf(
-        &mut self,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    );
+    fn leaf(&mut self, ei: usize, leaf: &Octant<DIM>, ctx: &mut Ctx<'_, DIM>);
 
     /// Maximum sibling-run width this visitor consumes as one panel
     /// (1 = scalar only).
@@ -810,18 +1078,17 @@ trait LeafVisitor<const DIM: usize> {
         &mut self,
         b: usize,
         batch: usize,
+        ei: usize,
         leaf: &Octant<DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
     ) {
-        let _ = (b, batch, leaf, ctx, srcs, p);
+        let _ = (b, batch, ei, leaf, ctx);
         unreachable!("panel_gather requires panel_width() > 1")
     }
 
     /// Applies the batched operator to the gathered panel.
-    fn panel_apply(&mut self, leaves: &[Octant<DIM>], ctx: &mut Ctx<'_, DIM>, p: u64) {
-        let _ = (leaves, ctx, p);
+    fn panel_apply(&mut self, leaves: &[Octant<DIM>], ctx: &mut Ctx<'_, DIM>) {
+        let _ = (leaves, ctx);
         unreachable!("panel_apply requires panel_width() > 1")
     }
 
@@ -831,12 +1098,11 @@ trait LeafVisitor<const DIM: usize> {
         &mut self,
         b: usize,
         batch: usize,
+        ei: usize,
         leaf: &Octant<DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
     ) {
-        let _ = (b, batch, leaf, ctx, srcs, p);
+        let _ = (b, batch, ei, leaf, ctx);
         unreachable!("panel_scatter requires panel_width() > 1")
     }
 }
@@ -860,8 +1126,6 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
         panel_stack,
         panel_in,
         panel_out,
-        panel_slots,
-        srcs,
         alloc,
         reuse,
     } = scr;
@@ -874,7 +1138,6 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
         panel: panel_stack,
         panel_in,
         panel_out,
-        panel_slots,
         alloc,
         reuse,
     };
@@ -883,7 +1146,7 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
             let _obs = carve_obs::scope("leaf");
             carve_obs::counter("leaves", 1);
             carve_obs::counter("scalar_leaves", 1);
-            visitor.leaf(&task.oct, &mut ctx, srcs, env.p);
+            visitor.leaf(task.range.start, &task.oct, &mut ctx);
         }
     } else {
         rec(
@@ -892,7 +1155,6 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
             task.st,
             task.range.clone(),
             &mut ctx,
-            srcs,
             visitor,
         );
     }
@@ -907,7 +1169,6 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
     st: SfcState,
     range: Range<usize>,
     ctx: &mut Ctx<'_, DIM>,
-    srcs: &mut Vec<([u64; DIM], f64)>,
     visitor: &mut V,
 ) {
     debug_assert!(!range.is_empty());
@@ -916,7 +1177,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
             let _obs = carve_obs::scope("leaf");
             carve_obs::counter("leaves", 1);
             carve_obs::counter("scalar_leaves", 1);
-            visitor.leaf(&subtree, ctx, srcs, env.p);
+            visitor.leaf(range.start, &subtree, ctx);
         }
         return;
     }
@@ -926,12 +1187,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
     let bw = env.batch.min(visitor.panel_width());
     let mut lo = range.start;
     for r in 0..(1usize << DIM) {
-        let mut hi = lo;
-        while hi < range.end
-            && st.morton_to_sfc(env.curve, DIM, env.elems[hi].child_bits_at(child_level)) == r
-        {
-            hi += 1;
-        }
+        let hi = run_end(env, st, child_level, lo..range.end, r);
         if hi == lo {
             continue;
         }
@@ -955,7 +1211,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
                 q += 1;
             }
             if q - lo >= 2 {
-                panel_run(env, lo, q - lo, ctx, srcs, visitor);
+                panel_run(env, lo, q - lo, ctx, visitor);
                 lo = q;
                 continue;
             }
@@ -977,7 +1233,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
         carve_obs::counter("node_copies", child.coords.len() as u64);
         drop(obs_td);
         ctx.own.push(child);
-        rec(env, child_oct, child_st, lo..hi, ctx, srcs, visitor);
+        rec(env, child_oct, child_st, lo..hi, ctx, visitor);
         // Bottom-up: accumulate duplicated node contributions.
         let _obs_bu = carve_obs::scope("bottom_up");
         let child = ctx.own.pop().expect("child bucket");
@@ -998,7 +1254,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
 /// kernel apply, then per-leaf scatter + bottom-up merge in SFC order.
 ///
 /// Bitwise identity with the scalar path: the hoisted phases (bucket fill,
-/// merge-sweep, gather) only *read* traversal state (`vin`, coords), which
+/// gather) only *read* traversal state (`vin`, coords), which
 /// no leaf ever writes, so moving them ahead of sibling scatters changes no
 /// input value. The write phases — scatter of leaf `b` followed by its
 /// bottom-up merge — stay interleaved per element in SFC order, because
@@ -1011,7 +1267,6 @@ fn panel_run<const DIM: usize, V: LeafVisitor<DIM>>(
     lo: usize,
     batch: usize,
     ctx: &mut Ctx<'_, DIM>,
-    srcs: &mut Vec<([u64; DIM], f64)>,
     visitor: &mut V,
 ) {
     debug_assert!(ctx.panel.is_empty());
@@ -1042,11 +1297,11 @@ fn panel_run<const DIM: usize, V: LeafVisitor<DIM>>(
             // visitor sees the same depth-indexed view as the scalar path.
             let bkt = std::mem::take(&mut ctx.panel[b]);
             ctx.own.push(bkt);
-            visitor.panel_gather(b, batch, &env.elems[lo + b], ctx, srcs, env.p);
+            visitor.panel_gather(b, batch, lo + b, &env.elems[lo + b], ctx);
             let bkt = ctx.own.pop().expect("panel bucket");
             ctx.panel[b] = bkt;
         }
-        visitor.panel_apply(&env.elems[lo..lo + batch], ctx, env.p);
+        visitor.panel_apply(&env.elems[lo..lo + batch], ctx);
     }
     // Scatter + merge per leaf, in SFC order (see the ordering argument in
     // the doc comment above).
@@ -1056,7 +1311,7 @@ fn panel_run<const DIM: usize, V: LeafVisitor<DIM>>(
             let _obs = carve_obs::scope("leaf");
             let bkt = std::mem::take(&mut ctx.panel[b]);
             ctx.own.push(bkt);
-            visitor.panel_scatter(b, batch, &leaf, ctx, srcs, env.p);
+            visitor.panel_scatter(b, batch, lo + b, &leaf, ctx);
             ctx.own.pop().expect("panel bucket")
         };
         if env.carry_values {
@@ -1119,18 +1374,18 @@ fn join_rec<const DIM: usize>(plan: &mut SpinePlan<DIM>, node: u32) {
 
 struct MatvecVisitor<'k, const DIM: usize, K> {
     kernel: &'k mut K,
+    plan: &'k LeafPlan,
     in_vals: Vec<f64>,
     out_vals: Vec<f64>,
-    slots: Vec<u32>,
 }
 
 impl<'k, const DIM: usize, K> MatvecVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, npe: usize) -> Self {
+    fn new(kernel: &'k mut K, plan: &'k LeafPlan) -> Self {
         Self {
             kernel,
-            in_vals: Vec::with_capacity(npe),
-            out_vals: Vec::with_capacity(npe),
-            slots: Vec::with_capacity(npe),
+            plan,
+            in_vals: vec![0.0; plan.npe],
+            out_vals: vec![0.0; plan.npe],
         }
     }
 }
@@ -1142,52 +1397,17 @@ impl<const DIM: usize, K> LeafVisitor<DIM> for MatvecVisitor<'_, DIM, K>
 where
     K: LeafKernel<DIM>,
 {
-    fn leaf(
-        &mut self,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
+    fn leaf(&mut self, ei: usize, leaf: &Octant<DIM>, ctx: &mut Ctx<'_, DIM>) {
         let depth = leaf.level as usize;
         debug_assert_eq!(ctx.top_depth(), depth);
-        self.slots.clear();
-        self.slots.resize(npe, NO_SLOT);
-        self.in_vals.resize(npe, 0.0);
-        self.out_vals.resize(npe, 0.0);
-        // Merge-sweep: one pass over the (Morton-sorted) leaf bucket maps
-        // every on-lattice node to its slot; the map is injective, so this
-        // replaces npe binary searches with bucket_len divisibility checks.
-        let mut hits = 0u64;
-        for (i, c) in ctx.bucket(depth).coords.iter().enumerate() {
-            if let Some(lin) = lattice_linear(leaf, p, c) {
-                self.slots[lin] = i as u32;
-                hits += 1;
-            }
+        let plan = self.plan;
+        for (v, &r) in self.in_vals.iter_mut().zip(plan.refs(ei)) {
+            *v = plan.eval(ctx, depth, r);
         }
-        carve_obs::counter("slot_sweep_hits", hits);
-        for lin in 0..npe {
-            let s = self.slots[lin];
-            self.in_vals[lin] = if s != NO_SLOT {
-                ctx.bucket(depth).vin[s as usize]
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                eval_coord(ctx, leaf, depth, &c, p, srcs)
-            };
-            self.out_vals[lin] = 0.0;
-        }
+        self.out_vals.fill(0.0);
         self.kernel.apply(leaf, &self.in_vals, &mut self.out_vals);
-        for lin in 0..npe {
-            let s = self.slots[lin];
-            if s != NO_SLOT {
-                ctx.vout_add(depth, s as usize, self.out_vals[lin]);
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                scatter_coord(ctx, leaf, depth, &c, self.out_vals[lin], p, srcs);
-            }
+        for (&val, &r) in self.out_vals.iter().zip(plan.refs(ei)) {
+            plan.scatter(ctx, depth, r, val);
         }
     }
 
@@ -1203,53 +1423,31 @@ where
         &mut self,
         b: usize,
         batch: usize,
+        ei: usize,
         leaf: &Octant<DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
     ) {
-        let npe = nodes_per_elem::<DIM>(p);
         let depth = leaf.level as usize;
         debug_assert_eq!(ctx.top_depth(), depth);
-        // The panel buffers live in the workspace arena; take them out so
-        // the bucket reads below don't conflict with the writes.
-        let mut slots = std::mem::take(ctx.panel_slots);
-        let mut pin = std::mem::take(ctx.panel_in);
-        let mut pout = std::mem::take(ctx.panel_out);
+        let n = self.plan.npe * batch;
         if b == 0 {
-            slots.clear();
-            slots.resize(npe * batch, NO_SLOT);
-            pin.clear();
-            pin.resize(npe * batch, 0.0);
-            pout.clear();
-            pout.resize(npe * batch, 0.0);
+            ctx.panel_in.clear();
+            ctx.panel_in.resize(n, 0.0);
+            ctx.panel_out.clear();
+            ctx.panel_out.resize(n, 0.0);
         }
-        let my_slots = &mut slots[b * npe..(b + 1) * npe];
-        let mut hits = 0u64;
-        for (i, c) in ctx.bucket(depth).coords.iter().enumerate() {
-            if let Some(lin) = lattice_linear(leaf, p, c) {
-                my_slots[lin] = i as u32;
-                hits += 1;
-            }
-        }
-        carve_obs::counter("slot_sweep_hits", hits);
-        for (lin, &s) in my_slots.iter().enumerate() {
+        // The panel buffer lives in the workspace arena; take it out so the
+        // bucket reads below don't conflict with the writes.
+        let mut pin = std::mem::take(ctx.panel_in);
+        for (lin, &r) in self.plan.refs(ei).iter().enumerate() {
             // SoA: node `lin` of element `b` at `lin * batch + b`.
-            pin[lin * batch + b] = if s != NO_SLOT {
-                ctx.bucket(depth).vin[s as usize]
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                eval_coord(ctx, leaf, depth, &c, p, srcs)
-            };
+            pin[lin * batch + b] = self.plan.eval(ctx, depth, r);
         }
-        *ctx.panel_slots = slots;
         *ctx.panel_in = pin;
-        *ctx.panel_out = pout;
     }
 
-    fn panel_apply(&mut self, leaves: &[Octant<DIM>], ctx: &mut Ctx<'_, DIM>, p: u64) {
-        let n = nodes_per_elem::<DIM>(p) * leaves.len();
+    fn panel_apply(&mut self, leaves: &[Octant<DIM>], ctx: &mut Ctx<'_, DIM>) {
+        let n = self.plan.npe * leaves.len();
         self.kernel
             .apply_panel(leaves, &ctx.panel_in[..n], &mut ctx.panel_out[..n]);
     }
@@ -1258,42 +1456,38 @@ where
         &mut self,
         b: usize,
         batch: usize,
+        ei: usize,
         leaf: &Octant<DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
     ) {
-        let npe = nodes_per_elem::<DIM>(p);
         let depth = leaf.level as usize;
         debug_assert_eq!(ctx.top_depth(), depth);
-        let slots = std::mem::take(ctx.panel_slots);
         let pout = std::mem::take(ctx.panel_out);
-        for lin in 0..npe {
-            let s = slots[b * npe + lin];
-            let val = pout[lin * batch + b];
-            if s != NO_SLOT {
-                ctx.vout_add(depth, s as usize, val);
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                scatter_coord(ctx, leaf, depth, &c, val, p, srcs);
-            }
+        for (lin, &r) in self.plan.refs(ei).iter().enumerate() {
+            self.plan.scatter(ctx, depth, r, pout[lin * batch + b]);
         }
-        *ctx.panel_slots = slots;
         *ctx.panel_out = pout;
     }
 }
 
 struct AssemblyVisitor<'k, const DIM: usize, K> {
     kernel: &'k mut K,
+    p: u64,
+    npe: usize,
     stencils: Vec<Vec<(u32, f64)>>,
     slots: Vec<u32>,
+    /// Hanging-source arena stack of `stencil_coord`.
+    srcs: Vec<([u64; DIM], f64)>,
 }
 
 impl<'k, const DIM: usize, K> AssemblyVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, npe: usize) -> Self {
+    fn new(kernel: &'k mut K, p: u64) -> Self {
+        let npe = nodes_per_elem::<DIM>(p);
         Self {
             kernel,
+            p,
+            npe,
+            srcs: Vec::new(),
             stencils: (0..npe).map(|_| Vec::with_capacity(4)).collect(),
             slots: Vec::with_capacity(npe),
         }
@@ -1327,15 +1521,8 @@ where
 {
     /// Resolves the `npe` lattice stencils of `leaf` into
     /// `self.stencils[base..base + npe]` (reads only traversal state).
-    fn gather_stencils(
-        &mut self,
-        base: usize,
-        leaf: &Octant<DIM>,
-        ctx: &Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
+    fn gather_stencils(&mut self, base: usize, leaf: &Octant<DIM>, ctx: &Ctx<'_, DIM>) {
+        let (p, npe) = (self.p, self.npe);
         let depth = leaf.level as usize;
         if self.stencils.len() < base + npe {
             self.stencils.resize_with(base + npe, Vec::new);
@@ -1366,7 +1553,7 @@ where
                     &c,
                     1.0,
                     p,
-                    srcs,
+                    &mut self.srcs,
                     &mut self.stencils[base + lin],
                 );
             }
@@ -1375,7 +1562,8 @@ where
 
     /// Fetches `K_e` (borrowed from caching kernels, built otherwise) and
     /// emits the stencil products for the element at `base`.
-    fn emit_elem(&mut self, base: usize, leaf: &Octant<DIM>, log: &mut OutLog, npe: usize) {
+    fn emit_elem(&mut self, base: usize, leaf: &Octant<DIM>, log: &mut OutLog) {
+        let npe = self.npe;
         let stencils = &self.stencils[base..base + npe];
         if let Some(ke) = self.kernel.matrix_ref(leaf) {
             emit_triplets(stencils, ke, npe, log);
@@ -1390,16 +1578,9 @@ impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<'_, DIM, K>
 where
     K: AssemblyKernel<DIM>,
 {
-    fn leaf(
-        &mut self,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        self.gather_stencils(0, leaf, ctx, srcs, p);
-        self.emit_elem(0, leaf, ctx.log, npe);
+    fn leaf(&mut self, _ei: usize, leaf: &Octant<DIM>, ctx: &mut Ctx<'_, DIM>) {
+        self.gather_stencils(0, leaf, ctx);
+        self.emit_elem(0, leaf, ctx.log);
     }
 
     fn panel_width(&self) -> usize {
@@ -1414,16 +1595,14 @@ where
         &mut self,
         b: usize,
         _batch: usize,
+        _ei: usize,
         leaf: &Octant<DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
     ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        self.gather_stencils(b * npe, leaf, ctx, srcs, p);
+        self.gather_stencils(b * self.npe, leaf, ctx);
     }
 
-    fn panel_apply(&mut self, _leaves: &[Octant<DIM>], _ctx: &mut Ctx<'_, DIM>, _p: u64) {
+    fn panel_apply(&mut self, _leaves: &[Octant<DIM>], _ctx: &mut Ctx<'_, DIM>) {
         // Nothing to batch here: the elemental matrices are emitted
         // per-leaf at scatter time (caching kernels make the fetch O(1)
         // within a same-level run).
@@ -1433,13 +1612,11 @@ where
         &mut self,
         b: usize,
         _batch: usize,
+        _ei: usize,
         leaf: &Octant<DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        _srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
     ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        self.emit_elem(b * npe, leaf, ctx.log, npe);
+        self.emit_elem(b * self.npe, leaf, ctx.log);
     }
 }
 
@@ -1499,13 +1676,14 @@ pub fn traversal_matvec_ws<const DIM: usize, K>(
         carry_ids: false,
         batch: ws.batch_width,
     };
+    let lp = leaf_plan(&env, nodes);
     let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, x), ws);
     carve_obs::counter("par_workers", 1);
     ws.ensure_scratch(1);
     {
         let SpinePlan { interior, tasks } = &mut plan;
         let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, nodes_per_elem::<DIM>(env.p));
+        let mut vis = MatvecVisitor::new(kernel, &lp);
         for t in tasks.iter_mut() {
             run_task(&env, t, interior, scr, &mut vis);
         }
@@ -1549,7 +1727,8 @@ pub fn traversal_matvec_par<const DIM: usize, K, F>(
         carry_ids: false,
         batch: ws.batch_width,
     };
-    let npe = nodes_per_elem::<DIM>(env.p);
+    let lp = leaf_plan(&env, nodes);
+    let lp = &*lp;
     let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, x), ws);
     let (chunk, n_workers) = chunking(plan.tasks.len(), ws.threads);
     carve_obs::counter("par_workers", n_workers as u64);
@@ -1560,7 +1739,7 @@ pub fn traversal_matvec_par<const DIM: usize, K, F>(
         if n_workers <= 1 {
             let scr = &mut ws.scratch[0];
             let mut kernel = make_kernel();
-            let mut vis = MatvecVisitor::new(&mut kernel, npe);
+            let mut vis = MatvecVisitor::new(&mut kernel, lp);
             for t in tasks.iter_mut() {
                 run_task(&env, t, interior, scr, &mut vis);
             }
@@ -1574,7 +1753,7 @@ pub fn traversal_matvec_par<const DIM: usize, K, F>(
                         s.spawn(move || {
                             carve_obs::detach_thread();
                             let mut kernel = make_kernel();
-                            let mut vis = MatvecVisitor::new(&mut kernel, npe);
+                            let mut vis = MatvecVisitor::new(&mut kernel, lp);
                             for t in tchunk.iter_mut() {
                                 run_task(env, t, interior, scr, &mut vis);
                             }
@@ -1699,6 +1878,7 @@ pub fn traversal_matvec_overlap_ws<const DIM: usize, K, W>(
         carry_ids: false,
         batch: ws.batch_width,
     };
+    let lp = leaf_plan(&env, nodes);
     let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, xg), ws);
     let mut flags = std::mem::take(&mut ws.task_flags);
     flags.clear();
@@ -1713,7 +1893,7 @@ pub fn traversal_matvec_overlap_ws<const DIM: usize, K, W>(
         let SpinePlan { interior, tasks } = &mut plan;
         let interior: &[SpineNode<DIM>] = interior;
         let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, nodes_per_elem::<DIM>(env.p));
+        let mut vis = MatvecVisitor::new(kernel, &lp);
         for (t, _) in tasks.iter_mut().zip(&flags).filter(|(_, b)| !**b) {
             run_task(&env, t, interior, scr, &mut vis);
         }
@@ -1727,7 +1907,7 @@ pub fn traversal_matvec_overlap_ws<const DIM: usize, K, W>(
         let SpinePlan { interior, tasks } = &mut plan;
         let interior: &[SpineNode<DIM>] = interior;
         let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, nodes_per_elem::<DIM>(env.p));
+        let mut vis = MatvecVisitor::new(kernel, &lp);
         for (t, _) in tasks.iter_mut().zip(&flags).filter(|(_, b)| **b) {
             run_task(&env, t, interior, scr, &mut vis);
         }
@@ -1780,7 +1960,8 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
         carry_ids: false,
         batch: ws.batch_width,
     };
-    let npe = nodes_per_elem::<DIM>(env.p);
+    let lp = leaf_plan(&env, nodes);
+    let lp = &*lp;
     let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, xg), ws);
     let mut flags = std::mem::take(&mut ws.task_flags);
     flags.clear();
@@ -1810,7 +1991,7 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
             if !intr.is_empty() {
                 let scr = &mut ws.scratch[0];
                 let mut kernel = make_kernel();
-                let mut vis = MatvecVisitor::new(&mut kernel, npe);
+                let mut vis = MatvecVisitor::new(&mut kernel, lp);
                 for t in intr.iter_mut() {
                     run_task(&env, t, interior, scr, &mut vis);
                 }
@@ -1827,7 +2008,7 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
                         s.spawn(move || {
                             carve_obs::detach_thread();
                             let mut kernel = make_kernel();
-                            let mut vis = MatvecVisitor::new(&mut kernel, npe);
+                            let mut vis = MatvecVisitor::new(&mut kernel, lp);
                             for t in tchunk.iter_mut() {
                                 run_task(env, t, interior, scr, &mut vis);
                             }
@@ -1863,7 +2044,7 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
             if nw <= 1 {
                 let scr = &mut ws.scratch[0];
                 let mut kernel = make_kernel();
-                let mut vis = MatvecVisitor::new(&mut kernel, npe);
+                let mut vis = MatvecVisitor::new(&mut kernel, lp);
                 for t in bnd.iter_mut() {
                     run_task(&env, t, interior, scr, &mut vis);
                 }
@@ -1877,7 +2058,7 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
                             s.spawn(move || {
                                 carve_obs::detach_thread();
                                 let mut kernel = make_kernel();
-                                let mut vis = MatvecVisitor::new(&mut kernel, npe);
+                                let mut vis = MatvecVisitor::new(&mut kernel, lp);
                                 for t in tchunk.iter_mut() {
                                     run_task(env, t, interior, scr, &mut vis);
                                 }
@@ -2002,7 +2183,7 @@ pub fn traversal_assemble_ws<const DIM: usize, K>(
     {
         let SpinePlan { interior, tasks } = &mut plan;
         let scr = &mut ws.scratch[0];
-        let mut vis = AssemblyVisitor::new(kernel, npe);
+        let mut vis = AssemblyVisitor::new(kernel, env.p);
         for t in tasks.iter_mut() {
             run_task(&env, t, interior, scr, &mut vis);
             drain_log(&mut t.out_log, coo);
@@ -2060,7 +2241,7 @@ pub fn traversal_assemble_par<const DIM: usize, K, F>(
         if n_workers <= 1 {
             let scr = &mut ws.scratch[0];
             let mut kernel = make_kernel();
-            let mut vis = AssemblyVisitor::new(&mut kernel, npe);
+            let mut vis = AssemblyVisitor::new(&mut kernel, env.p);
             for t in tasks.iter_mut() {
                 run_task(&env, t, interior, scr, &mut vis);
                 drain_log(&mut t.out_log, coo);
@@ -2075,7 +2256,7 @@ pub fn traversal_assemble_par<const DIM: usize, K, F>(
                         s.spawn(move || {
                             carve_obs::detach_thread();
                             let mut kernel = make_kernel();
-                            let mut vis = AssemblyVisitor::new(&mut kernel, npe);
+                            let mut vis = AssemblyVisitor::new(&mut kernel, env.p);
                             for t in tchunk.iter_mut() {
                                 run_task(env, t, interior, scr, &mut vis);
                             }
@@ -2282,7 +2463,8 @@ mod tests {
     fn owned_subrange_sums_to_full() {
         // Splitting the element list into owned ranges and summing the
         // partial MATVECs must reproduce the full MATVEC (the distributed
-        // decomposition property).
+        // decomposition property). The parts run first, on one node set:
+        // each owned range must get a leaf plan of its own.
         let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.25))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(&domain, Curve::Hilbert, &t);
@@ -2290,16 +2472,6 @@ mod tests {
         let n = nodes.len();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut y_full = vec![0.0; n];
-        traversal_matvec(
-            &elems,
-            0..elems.len(),
-            Curve::Hilbert,
-            &nodes,
-            &x,
-            &mut y_full,
-            &mut toy_kernel::<2>(2),
-        );
         let mid = elems.len() / 3;
         let mut y_parts = vec![0.0; n];
         for range in [0..mid, mid..elems.len()] {
@@ -2313,6 +2485,16 @@ mod tests {
                 &mut toy_kernel::<2>(2),
             );
         }
+        let mut y_full = vec![0.0; n];
+        traversal_matvec(
+            &elems,
+            0..elems.len(),
+            Curve::Hilbert,
+            &nodes,
+            &x,
+            &mut y_full,
+            &mut toy_kernel::<2>(2),
+        );
         for (a, b) in y_full.iter().zip(&y_parts) {
             assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));
         }
@@ -2340,7 +2522,12 @@ mod tests {
         let leaf = &d.phases["matvec/leaf"];
         assert_eq!(leaf.calls, elems.len() as u64);
         assert_eq!(leaf.counters["leaves"], elems.len() as u64);
-        assert!(leaf.counters["slot_sweep_hits"] > 0);
+        // The merge-sweep runs once, in the plan record pass.
+        let plan = &d.phases["matvec/plan"];
+        assert_eq!(plan.calls, 1);
+        assert_eq!(plan.counters["plans"], 1);
+        assert!(plan.counters["slot_sweep_hits"] > 0);
+        assert!(!leaf.counters.contains_key("slot_sweep_hits"));
         let td = &d.phases["matvec/top_down"];
         assert!(td.counters["node_copies"] > 0);
         assert_eq!(d.phases["matvec"].calls, 1);

@@ -50,6 +50,9 @@ pub struct NodeSet<const DIM: usize> {
     /// Node lattice coordinates, sorted by point-Morton order.
     pub coords: Vec<[u64; DIM]>,
     pub flags: Vec<NodeFlags>,
+    /// The MATVEC leaf plan of the mesh these nodes belong to, recorded at
+    /// its first traversal MATVEC (DESIGN.md §6j).
+    pub(crate) plan: crate::matvec::PlanCell,
 }
 
 /// Iterates the multi-indices of a `(q+1)^DIM` lattice, x-fastest.
@@ -218,6 +221,7 @@ pub fn enumerate_nodes<const DIM: usize>(
         order: p,
         coords,
         flags,
+        plan: Default::default(),
     }
 }
 

@@ -33,7 +33,8 @@ pub use poisson::{
 };
 pub use sbm::{sbm_face_terms, surrogate_faces, SbmParams, SurrogateFace};
 pub use serve::{
-    coord_field, geometry_hash, CacheStats, ScenarioCache, ScenarioEntry, ScenarioSpec, ServedField,
+    coord_field, geometry_hash, CacheStats, ScenarioCache, ScenarioEntry, ScenarioSpec, ServeError,
+    ServedField,
 };
 pub use solver::{
     solve_poisson, solve_poisson_supervised, AttemptReport, BcMode, EscalatedSolver,

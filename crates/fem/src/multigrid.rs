@@ -698,6 +698,39 @@ mod tests {
     }
 
     #[test]
+    fn solve_records_one_leaf_plan_per_smoothed_level() {
+        // Leaf plans are mesh data: every level keeps its own although all
+        // levels share one traversal workspace, so a whole solve records
+        // each exactly once. The coarsest level is solved by LU and never
+        // applies the traversal MATVEC.
+        let _on = carve_obs::force_enabled();
+        let domain = RetainSolid::new(Sphere::<2>::new([0.5, 0.5], 0.45));
+        let constrain = |fl: carve_core::NodeFlags| fl.is_any_boundary();
+        let mg = Multigrid::<2>::new(&domain, 3, 5, 2, 1, 1.0, &constrain);
+        assert!(mg.num_levels() >= 3);
+        let n = mg.finest().num_dofs();
+        let b: Vec<f64> = (0..n)
+            .map(|i| {
+                if mg.finest().nodes.flags[i].is_any_boundary() {
+                    0.0
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        let mut x = vec![0.0; n];
+        let before = carve_obs::thread_snapshot();
+        let res = mg.solve(&b, &mut x, 1e-10, 50);
+        let d = carve_obs::thread_snapshot().diff(&before);
+        assert!(res.converged && res.iterations > 1, "{res:?}");
+        let plan = &d.phases["matvec/plan"];
+        assert_eq!(plan.counters["plans"], (mg.num_levels() - 1) as u64);
+        assert_eq!(plan.calls, plan.counters["plans"]);
+        assert!(plan.counters["hanging_slots"] > 0, "{plan:?}");
+        assert!(d.phases["matvec"].calls > 4 * plan.calls);
+    }
+
+    #[test]
     fn mg_pcg_iterations_are_h_independent() {
         // The multigrid payoff: iteration counts stay ~constant as the mesh
         // refines (plain CG grows like 1/h).

@@ -81,6 +81,26 @@ pub struct ScenarioSpec {
     pub mg_min_level: Option<u8>,
 }
 
+/// Why a request against a cached scenario cannot be served.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServeError {
+    /// [`ScenarioEntry::mg_solve`] on a scenario whose spec built no
+    /// multigrid hierarchy (`mg_min_level: None`).
+    NoHierarchy,
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::NoHierarchy => f.write_str(
+                "multigrid solve on a scenario built without a hierarchy (mg_min_level: None)",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
 /// Cumulative cache statistics (process-local, mirrored into obs
 /// counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -265,10 +285,17 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
     /// V-cycle-preconditioned CG on the cached hierarchy's finest mesh
     /// (its own sequential DOF numbering — a per-rank replica service, not
     /// the distributed operator). Rides [`FusedReduce`] so the fusion
-    /// discipline lands in the `reductions_fused` counter.
-    pub fn mg_solve(&self, b: &[f64], x: &mut [f64], rtol: f64, max_iter: usize) -> KrylovResult {
-        let mg = self.mg.as_ref().expect("spec.mg_min_level was None");
-        mg.solve_with(b, x, rtol, max_iter, &FusedReduce(&LocalReduce))
+    /// discipline lands in the `reductions_fused` counter. Fails with
+    /// [`ServeError::NoHierarchy`] when the spec built no hierarchy.
+    pub fn mg_solve(
+        &self,
+        b: &[f64],
+        x: &mut [f64],
+        rtol: f64,
+        max_iter: usize,
+    ) -> Result<KrylovResult, ServeError> {
+        let mg = self.mg.as_ref().ok_or(ServeError::NoHierarchy)?;
+        Ok(mg.solve_with(b, x, rtol, max_iter, &FusedReduce(&LocalReduce)))
     }
 
     /// The serving operator: traversal MATVEC over the warm workspace,
@@ -807,13 +834,32 @@ mod tests {
                 })
                 .collect();
             let mut x = vec![0.0; n];
-            let res = e.mg_solve(&b, &mut x, 1e-10, 50);
+            let res = e.mg_solve(&b, &mut x, 1e-10, 50).expect("hierarchy built");
             assert!(res.converged, "{res:?}");
             // Bitwise identical to the plain LocalReduce path.
             let mut x2 = vec![0.0; n];
             mg.solve(&b, &mut x2, 1e-10, 50);
             for (a, bb) in x.iter().zip(&x2) {
                 assert_eq!(a.to_bits(), bb.to_bits());
+            }
+        });
+    }
+
+    #[test]
+    fn mg_solve_without_hierarchy_is_a_typed_error() {
+        run_spmd(1, |c| {
+            let (domain, spec) = sphere_spec(None);
+            let mut cache = ScenarioCache::<2>::with_cap_bytes(64 << 20);
+            let e = cache.get_or_build(c, &domain, spec);
+            assert!(e.mg().is_none());
+            let n = e.dm.nodes.len();
+            let mut x = vec![0.0; n];
+            match e.mg_solve(&vec![1.0; n], &mut x, 1e-10, 50) {
+                Err(err) => {
+                    assert_eq!(err, ServeError::NoHierarchy);
+                    assert!(err.to_string().contains("mg_min_level"), "{err}");
+                }
+                Ok(res) => panic!("solved without a hierarchy: {res:?}"),
             }
         });
     }

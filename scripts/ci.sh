@@ -14,11 +14,13 @@
 #   chaos              release tests under delay-only ambient chaos
 #   chaos-lossy        release tests under drop/corrupt chaos + lane retry
 #   adapt-determinism  adapt_trace bitwise-diffed over threads {1,4} x
-#                      {clean, lossy chaos} (DESIGN.md §7)
+#                      {clean, lossy chaos} and against the committed
+#                      golden trace (DESIGN.md §7)
 #   leaf-kernel-determinism
 #                      matvec_digest byte-compared over batch widths {1,8}
 #                      x threads {1,4}: the batched SoA leaf path must be
-#                      bitwise identical to the scalar path (DESIGN.md §6h)
+#                      bitwise identical to the scalar path (DESIGN.md §6h),
+#                      and every document to the committed golden digest
 #   clippy             clippy with warnings denied
 #   doc                rustdoc with warnings denied
 #   bench-gate         scripts/bench_gate.sh perf regression gate
@@ -71,7 +73,9 @@ run_stage() {
       ;;
     # The dynamic-AMR loop must produce one serialized carve-adapt-trace-v1
     # document — element counts, DOF counts, leaf/field hashes — no matter
-    # the thread budget or chaos schedule. Diff the matrix bitwise.
+    # the thread budget or chaos schedule. Diff the matrix bitwise, and
+    # against the golden document committed under crates/bench/golden/, so
+    # a change that moves every run alike fails too.
     adapt-determinism)
       cargo build --release -q -p carve-bench --bin adapt_trace
       local tmp
@@ -87,12 +91,15 @@ run_stage() {
         cmp "$tmp/t1.json" "$tmp/$f.json" \
           || { echo "ci: adapt trace t1 vs $f differs" >&2; return 1; }
       done
-      echo "ci: adapt trace bitwise-identical over threads {1,4} x {clean,lossy}"
+      cmp crates/bench/golden/adapt_trace.json "$tmp/t1.json" \
+        || { echo "ci: adapt trace differs from the golden document" >&2; return 1; }
+      echo "ci: adapt trace bitwise-identical over threads {1,4} x {clean,lossy} and to golden"
       ;;
     # The batched SoA leaf path (CARVE_BATCH_WIDTH, DESIGN.md §6h) must be
     # bitwise identical to the scalar path (width 1) at any thread budget:
     # digest the matvec output bits over the width x threads matrix and
-    # byte-compare the documents.
+    # byte-compare the documents, with each other and with the golden
+    # digest committed under crates/bench/golden/.
     leaf-kernel-determinism)
       cargo build --release -q -p carve-bench --bin matvec_digest
       local tmp
@@ -108,7 +115,9 @@ run_stage() {
         cmp "$tmp/w1-t1.txt" "$tmp/$f.txt" \
           || { echo "ci: matvec digest w1-t1 vs $f differs" >&2; return 1; }
       done
-      echo "ci: matvec digest bitwise-identical over widths {1,8} x threads {1,4}"
+      cmp crates/bench/golden/matvec_digest.txt "$tmp/w1-t1.txt" \
+        || { echo "ci: matvec digest differs from the golden document" >&2; return 1; }
+      echo "ci: matvec digest bitwise-identical over widths {1,8} x threads {1,4} and to golden"
       ;;
     # carve-comm additionally denies unwrap/expect crate-wide (lib.rs).
     clippy)
