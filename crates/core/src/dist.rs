@@ -265,6 +265,12 @@ impl<const DIM: usize> DistMesh<DIM> {
         self.owned.len()
     }
 
+    /// Resident bytes of this mesh's MATVEC leaf plan (DESIGN.md §6j),
+    /// recording the plan first if no MATVEC has yet.
+    pub fn leaf_plan_bytes(&self) -> usize {
+        crate::matvec::leaf_plan_bytes(&self.elems, self.owned.clone(), self.curve, &self.nodes)
+    }
+
     /// Refreshes ghost node entries of `values` from their owners through
     /// the persistent neighbor-sparse exchange (recycled lane buffers, only
     /// actual neighbors). Returns bytes sent by this rank. A 1-rank mesh is

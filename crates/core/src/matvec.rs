@@ -64,6 +64,13 @@
 //! scalar engine for any batch width (`CARVE_BATCH_WIDTH`), thread count,
 //! and chaos schedule. Counters: `batched_leaves`, `batch_count`,
 //! `scalar_leaves`.
+//!
+//! # Assembly sinks (DESIGN.md §6i)
+//!
+//! The assembly traversal buckets global ids instead of values and emits
+//! `W^T K_e W` entries into an [`AssemblySink`]: a [`CooBuilder`] for the
+//! sparse matrix, or a `Vec<f64>` that keeps only its diagonal — all a
+//! Jacobi preconditioner for the matrix-free operator needs.
 
 use crate::nodes::{elem_node_coord, lattice_index, lattice_linear, nodes_per_elem, NodeSet};
 use crate::par;
@@ -85,7 +92,8 @@ use std::sync::{Arc, Mutex};
 /// Scatter-log entry `(ancestor depth | row, bucket slot | col, value)`:
 /// the matvec path logs deferred ancestor-bucket accumulations, the
 /// assembly path reuses the same buffer for global `(row, col, val)`
-/// triplets. Either way the log is replayed in SFC task order.
+/// entries bound for its [`AssemblySink`]. Either way the log is replayed
+/// in SFC task order.
 type OutLog = Vec<(u32, u32, f64)>;
 
 /// One level's worth of bucketed nodal data along the current traversal
@@ -577,8 +585,9 @@ impl LeafPlan {
 }
 
 /// The lazily recorded leaf plan a [`NodeSet`] holds for its mesh. Empty
-/// until the first MATVEC; replacing the node set (mesh adaptation) drops
-/// it, and a clone starts empty. Fork-join workers share it read-only.
+/// until the first MATVEC (or [`crate::DistMesh::leaf_plan_bytes`]);
+/// replacing the node set (mesh adaptation) drops it, and a clone starts
+/// empty. Fork-join workers share it read-only.
 #[derive(Default, Debug)]
 pub(crate) struct PlanCell(Mutex<Option<Arc<LeafPlan>>>);
 
@@ -604,6 +613,30 @@ fn leaf_plan<const DIM: usize>(env: &Env<'_, DIM>, nodes: &NodeSet<DIM>) -> Arc<
     let plan = Arc::new(record_plan(env, nodes, key));
     *cell = Some(Arc::clone(&plan));
     plan
+}
+
+/// Resident bytes of the leaf plan `nodes` holds for the owned leaves
+/// `owned` of `elems`, recording it first when it has none — the plan
+/// every later MATVEC over this mesh then replays.
+pub(crate) fn leaf_plan_bytes<const DIM: usize>(
+    elems: &[Octant<DIM>],
+    owned: Range<usize>,
+    curve: Curve,
+    nodes: &NodeSet<DIM>,
+) -> usize {
+    if elems.is_empty() || owned.is_empty() {
+        return 0;
+    }
+    let env = Env {
+        elems,
+        owned,
+        curve,
+        p: nodes.order,
+        carry_values: true,
+        carry_ids: false,
+        batch: 1,
+    };
+    leaf_plan(&env, nodes).bytes()
 }
 
 /// Records the leaf plan with one coords-only descent over the owned
@@ -1057,6 +1090,50 @@ where
     }
 }
 
+/// Where the assembly traversal's global `(row, col, value)` entries go.
+/// Each task's entries reach the sink as its log drains, in SFC task
+/// order, so a sink sees one sequence for any thread count and batch
+/// width.
+///
+/// A [`CooBuilder`] takes the full triplet stream of `W^T K_e W`; a
+/// `Vec<f64>` indexed by global id accumulates only its diagonal.
+pub trait AssemblySink {
+    /// Whether the sink keeps only `row == col` entries. The traversal
+    /// then emits just the diagonal stencil products, including those
+    /// between two distinct lattice slots whose stencils share a node.
+    const DIAGONAL_ONLY: bool;
+
+    /// Capacity hint: about `additional` more entries follow.
+    fn reserve(&mut self, additional: usize) {
+        let _ = additional;
+    }
+
+    fn add(&mut self, row: u32, col: u32, val: f64);
+}
+
+impl AssemblySink for CooBuilder {
+    const DIAGONAL_ONLY: bool = false;
+
+    fn reserve(&mut self, additional: usize) {
+        CooBuilder::reserve(self, additional);
+    }
+
+    #[inline]
+    fn add(&mut self, row: u32, col: u32, val: f64) {
+        CooBuilder::add(self, row as usize, col as usize, val);
+    }
+}
+
+impl AssemblySink for Vec<f64> {
+    const DIAGONAL_ONLY: bool = true;
+
+    #[inline]
+    fn add(&mut self, row: u32, col: u32, val: f64) {
+        debug_assert_eq!(row, col);
+        self[row as usize] += val;
+    }
+}
+
 // --- Task execution -------------------------------------------------------
 
 /// What to do at each owned leaf (`ei` is its index in `elems`). Visitors
@@ -1474,6 +1551,8 @@ struct AssemblyVisitor<'k, const DIM: usize, K> {
     kernel: &'k mut K,
     p: u64,
     npe: usize,
+    /// Emit only `row == col` products ([`AssemblySink::DIAGONAL_ONLY`]).
+    diagonal_only: bool,
     stencils: Vec<Vec<(u32, f64)>>,
     slots: Vec<u32>,
     /// Hanging-source arena stack of `stencil_coord`.
@@ -1481,12 +1560,13 @@ struct AssemblyVisitor<'k, const DIM: usize, K> {
 }
 
 impl<'k, const DIM: usize, K> AssemblyVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, p: u64) -> Self {
+    fn new(kernel: &'k mut K, p: u64, diagonal_only: bool) -> Self {
         let npe = nodes_per_elem::<DIM>(p);
         Self {
             kernel,
             p,
             npe,
+            diagonal_only,
             srcs: Vec::new(),
             stencils: (0..npe).map(|_| Vec::with_capacity(4)).collect(),
             slots: Vec::with_capacity(npe),
@@ -1497,7 +1577,18 @@ impl<'k, const DIM: usize, K> AssemblyVisitor<'k, DIM, K> {
 /// Emits `W^T K_e W` into the triplet log: every (row stencil) × (col
 /// stencil) product, skipping structural zeros. Shared by the scalar and
 /// panel assembly paths, so the triplet sequence is identical.
-fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, npe: usize, log: &mut OutLog) {
+///
+/// With `diagonal_only`, only the `ri == cj` products are kept. They come
+/// from every `(i, j)` pair, not just `i == j`: two hanging slots (or a
+/// hanging slot and a real one) interpolate from shared parent nodes, and
+/// those cross terms are part of the assembled diagonal.
+fn emit_triplets(
+    stencils: &[Vec<(u32, f64)>],
+    ke: &DenseMatrix,
+    npe: usize,
+    diagonal_only: bool,
+    log: &mut OutLog,
+) {
     debug_assert_eq!(ke.rows, npe);
     debug_assert_eq!(ke.cols, npe);
     for i in 0..npe {
@@ -1508,7 +1599,9 @@ fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, npe: usize, log
             }
             for &(ri, rw) in &stencils[i] {
                 for &(cj, cw) in &stencils[j] {
-                    log.push((ri, cj, rw * cw * v));
+                    if !diagonal_only || ri == cj {
+                        log.push((ri, cj, rw * cw * v));
+                    }
                 }
             }
         }
@@ -1563,13 +1656,13 @@ where
     /// Fetches `K_e` (borrowed from caching kernels, built otherwise) and
     /// emits the stencil products for the element at `base`.
     fn emit_elem(&mut self, base: usize, leaf: &Octant<DIM>, log: &mut OutLog) {
-        let npe = self.npe;
+        let (npe, diag) = (self.npe, self.diagonal_only);
         let stencils = &self.stencils[base..base + npe];
         if let Some(ke) = self.kernel.matrix_ref(leaf) {
-            emit_triplets(stencils, ke, npe, log);
+            emit_triplets(stencils, ke, npe, diag, log);
         } else {
             let ke = self.kernel.matrix(leaf);
-            emit_triplets(stencils, &ke, npe, log);
+            emit_triplets(stencils, &ke, npe, diag, log);
         }
     }
 }
@@ -2123,38 +2216,44 @@ fn finish_matvec<const DIM: usize>(plan: &mut SpinePlan<DIM>, y: &mut [f64]) {
 
 /// Assembles the global sparse matrix via octree traversal (§3.6): node
 /// *ids* are bucketed instead of values; at each leaf the elemental matrix
-/// entries are emitted with global indices (duplicates merge by addition in
-/// the builder, the PETSc `ADD_VALUES` contract). No bottom-up phase.
+/// entries are emitted with global indices into `sink` (duplicates merge by
+/// addition, the PETSc `ADD_VALUES` contract). A [`CooBuilder`] sink gets
+/// the whole matrix, a `Vec<f64>` sink only its diagonal. No bottom-up
+/// phase.
 ///
 /// Convenience wrapper over [`traversal_assemble_ws`].
-pub fn traversal_assemble<const DIM: usize, K>(
+pub fn traversal_assemble<const DIM: usize, K, S>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
     nodes: &NodeSet<DIM>,
     global_ids: &[u32],
-    coo: &mut CooBuilder,
+    sink: &mut S,
     kernel: &mut K,
 ) where
     K: AssemblyKernel<DIM>,
+    S: AssemblySink,
 {
     let mut ws = TraversalWorkspace::with_threads(1);
-    traversal_assemble_ws(elems, owned, curve, nodes, global_ids, coo, &mut ws, kernel);
+    traversal_assemble_ws(
+        elems, owned, curve, nodes, global_ids, sink, &mut ws, kernel,
+    );
 }
 
 /// Sequential assembly reusing `ws`'s arena.
 #[allow(clippy::too_many_arguments)]
-pub fn traversal_assemble_ws<const DIM: usize, K>(
+pub fn traversal_assemble_ws<const DIM: usize, K, S>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
     nodes: &NodeSet<DIM>,
     global_ids: &[u32],
-    coo: &mut CooBuilder,
+    sink: &mut S,
     ws: &mut TraversalWorkspace<DIM>,
     kernel: &mut K,
 ) where
     K: AssemblyKernel<DIM>,
+    S: AssemblySink,
 {
     assert_eq!(global_ids.len(), nodes.len());
     if elems.is_empty() || owned.is_empty() {
@@ -2179,36 +2278,37 @@ pub fn traversal_assemble_ws<const DIM: usize, K>(
     );
     carve_obs::counter("par_workers", 1);
     ws.ensure_scratch(1);
-    reserve_triplets(&env, npe, coo);
+    reserve_entries(&env, npe, sink);
     {
         let SpinePlan { interior, tasks } = &mut plan;
         let scr = &mut ws.scratch[0];
-        let mut vis = AssemblyVisitor::new(kernel, env.p);
+        let mut vis = AssemblyVisitor::new(kernel, env.p, S::DIAGONAL_ONLY);
         for t in tasks.iter_mut() {
             run_task(&env, t, interior, scr, &mut vis);
-            drain_log(&mut t.out_log, coo);
+            drain_log(&mut t.out_log, sink);
         }
     }
     ws.release_plan(plan);
     ws.emit_arena_counters();
 }
 
-/// Fork-join assembly; per-task triplet buffers are concatenated in SFC
-/// task order, so the emitted triplet sequence — and hence the built CSR —
-/// is identical for any thread count.
+/// Fork-join assembly; per-task entry buffers drain into `sink` in SFC
+/// task order, so the sink sees one entry sequence — and a built CSR or
+/// accumulated diagonal is bitwise identical — for any thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn traversal_assemble_par<const DIM: usize, K, F>(
+pub fn traversal_assemble_par<const DIM: usize, K, F, S>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
     nodes: &NodeSet<DIM>,
     global_ids: &[u32],
-    coo: &mut CooBuilder,
+    sink: &mut S,
     ws: &mut TraversalWorkspace<DIM>,
     make_kernel: &F,
 ) where
     K: AssemblyKernel<DIM>,
     F: Fn() -> K + Sync,
+    S: AssemblySink,
 {
     assert_eq!(global_ids.len(), nodes.len());
     if elems.is_empty() || owned.is_empty() {
@@ -2234,17 +2334,17 @@ pub fn traversal_assemble_par<const DIM: usize, K, F>(
     let (chunk, n_workers) = chunking(plan.tasks.len(), ws.threads);
     carve_obs::counter("par_workers", n_workers as u64);
     ws.ensure_scratch(n_workers);
-    reserve_triplets(&env, npe, coo);
+    reserve_entries(&env, npe, sink);
     {
         let SpinePlan { interior, tasks } = &mut plan;
         let interior: &[SpineNode<DIM>] = interior;
         if n_workers <= 1 {
             let scr = &mut ws.scratch[0];
             let mut kernel = make_kernel();
-            let mut vis = AssemblyVisitor::new(&mut kernel, env.p);
+            let mut vis = AssemblyVisitor::new(&mut kernel, env.p, S::DIAGONAL_ONLY);
             for t in tasks.iter_mut() {
                 run_task(&env, t, interior, scr, &mut vis);
-                drain_log(&mut t.out_log, coo);
+                drain_log(&mut t.out_log, sink);
             }
         } else {
             let env = &env;
@@ -2256,7 +2356,8 @@ pub fn traversal_assemble_par<const DIM: usize, K, F>(
                         s.spawn(move || {
                             carve_obs::detach_thread();
                             let mut kernel = make_kernel();
-                            let mut vis = AssemblyVisitor::new(&mut kernel, env.p);
+                            let mut vis =
+                                AssemblyVisitor::new(&mut kernel, env.p, S::DIAGONAL_ONLY);
                             for t in tchunk.iter_mut() {
                                 run_task(env, t, interior, scr, &mut vis);
                             }
@@ -2270,7 +2371,7 @@ pub fn traversal_assemble_par<const DIM: usize, K, F>(
                 carve_obs::absorb_rebased(snap);
             }
             for t in tasks.iter_mut() {
-                drain_log(&mut t.out_log, coo);
+                drain_log(&mut t.out_log, sink);
             }
         }
     }
@@ -2291,22 +2392,26 @@ fn assemble_root<const DIM: usize>(
 }
 
 /// Capacity hint for the assembled triplet stream: `owned leaves × npe²`.
-fn reserve_triplets<const DIM: usize>(env: &Env<'_, DIM>, npe: usize, coo: &mut CooBuilder) {
+fn reserve_entries<const DIM: usize, S: AssemblySink>(
+    env: &Env<'_, DIM>,
+    npe: usize,
+    sink: &mut S,
+) {
     let owned_leaves = env
         .owned
         .end
         .min(env.elems.len())
         .saturating_sub(env.owned.start);
-    coo.reserve(owned_leaves * npe * npe);
+    sink.reserve(owned_leaves * npe * npe);
 }
 
-/// Moves one task's triplet buffer into the builder. Sequential paths call
+/// Moves one task's entry buffer into the sink. Sequential paths call
 /// this right after the task runs, while its log is still cache-hot; the
 /// threaded path drains all logs afterwards in SFC task order. Either way
-/// the builder sees the identical triplet sequence.
-fn drain_log(log: &mut OutLog, coo: &mut CooBuilder) {
+/// the sink sees the identical entry sequence.
+fn drain_log<S: AssemblySink>(log: &mut OutLog, sink: &mut S) {
     for &(ri, cj, v) in log.iter() {
-        coo.add(ri as usize, cj as usize, v);
+        sink.add(ri, cj, v);
     }
     log.clear();
 }
@@ -2802,6 +2907,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The diagonal sink equals the assembled CSR's diagonal up to
+    /// summation order (hanging cross terms included) and is bitwise
+    /// independent of thread count and batch width.
+    fn check_diagonal_sink<const DIM: usize>(domain: &dyn Subdomain<DIM>) {
+        let t = construct_boundary_refined(domain, Curve::Hilbert, 2, 4);
+        let elems = construct_balanced(domain, Curve::Hilbert, &t);
+        assert!(
+            elems.iter().any(|e| e.level != elems[0].level),
+            "mesh must be adaptive so leaves carry hanging slots"
+        );
+        for p in [1u64, 2] {
+            let nodes = enumerate_nodes(domain, &elems, p);
+            let n = nodes.len();
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let mut coo = CooBuilder::new(n);
+            traversal_assemble(
+                &elems,
+                0..elems.len(),
+                Curve::Hilbert,
+                &nodes,
+                &ids,
+                &mut coo,
+                &mut toy_matrix::<DIM>(p),
+            );
+            let oracle = coo.build().diagonal();
+            let mut d_ref = vec![0.0; n];
+            traversal_assemble(
+                &elems,
+                0..elems.len(),
+                Curve::Hilbert,
+                &nodes,
+                &ids,
+                &mut d_ref,
+                &mut toy_matrix::<DIM>(p),
+            );
+            for (i, (d, o)) in d_ref.iter().zip(&oracle).enumerate() {
+                assert!(
+                    (d - o).abs() <= 1e-13 * o.abs(),
+                    "DIM={DIM} p={p} node {i}: diagonal sink {d} vs CSR {o}"
+                );
+            }
+            for threads in [1usize, 4] {
+                for width in [1usize, 8] {
+                    let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
+                    let mut d = vec![0.0; n];
+                    traversal_assemble_par(
+                        &elems,
+                        0..elems.len(),
+                        Curve::Hilbert,
+                        &nodes,
+                        &ids,
+                        &mut d,
+                        &mut ws,
+                        &|| ToyBatchMatrix::<DIM>::new(p),
+                    );
+                    for (i, (a, b)) in d_ref.iter().zip(&d).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "DIM={DIM} p={p} threads={threads} width={width} node {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_sink_matches_csr_diagonal_2d() {
+        let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+        check_diagonal_sink(&domain);
+    }
+
+    #[test]
+    fn diagonal_sink_matches_csr_diagonal_3d() {
+        let domain = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
+        check_diagonal_sink(&domain);
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub struct NodeSet<const DIM: usize> {
     pub coords: Vec<[u64; DIM]>,
     pub flags: Vec<NodeFlags>,
     /// The MATVEC leaf plan of the mesh these nodes belong to, recorded at
-    /// its first traversal MATVEC (DESIGN.md §6j).
+    /// its first traversal MATVEC or by `DistMesh::leaf_plan_bytes`
+    /// (DESIGN.md §6j).
     pub(crate) plan: crate::matvec::PlanCell,
 }
 

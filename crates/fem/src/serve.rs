@@ -7,13 +7,15 @@
 //! (geometry × refinement × order) should pay that setup once per scenario
 //! and keep it warm:
 //!
-//! * [`ScenarioCache`] — built [`DistMesh`] + assembled CSR + consistent
-//!   Jacobi diagonal + optional multigrid hierarchy + warm
-//!   [`TraversalWorkspace`] and Krylov scratch, keyed by [`ScenarioSpec`]
-//!   (geometry hash, refinement spec, order), LRU-evicted by resident
-//!   bytes (`CARVE_CACHE_BYTES`, default 256 MiB). Counters: `cache_hits`,
-//!   `cache_misses`, `cache_evictions`, `cache_bytes` (cumulative admitted
-//!   bytes).
+//! * [`ScenarioCache`] — built [`DistMesh`] (with its recorded MATVEC
+//!   leaf plan) + consistent Jacobi diagonal + optional multigrid
+//!   hierarchy + warm [`TraversalWorkspace`] and Krylov scratch, keyed by
+//!   [`ScenarioSpec`] (geometry hash, refinement spec, order), LRU-evicted
+//!   by resident bytes (`CARVE_CACHE_BYTES`, default 256 MiB). The solver
+//!   is matrix-free, so no sparse matrix is assembled or kept: the Jacobi
+//!   diagonal comes from a diagonal-only assembly traversal. Counters:
+//!   `cache_hits`, `cache_misses`, `cache_evictions`, `cache_bytes`
+//!   (cumulative admitted bytes).
 //! * [`ScenarioEntry::solve`] / [`ScenarioEntry::block_solve`] — warm
 //!   Jacobi-CG over the traversal MATVEC; the block variant runs k RHS in
 //!   lockstep through [`carve_la::block_cg_with`]'s fused reduction rounds
@@ -38,8 +40,7 @@ use carve_comm::Comm;
 use carve_core::{traversal_assemble_par, DistMesh, FusedReduce, GhostState, TraversalWorkspace};
 use carve_geom::Subdomain;
 use carve_la::{
-    block_cg_scratch, cg_with_scratch, CooBuilder, CsrMatrix, JacobiPrecond, KrylovResult,
-    KrylovScratch, LocalReduce,
+    block_cg_scratch, cg_with_scratch, JacobiPrecond, KrylovResult, KrylovScratch, LocalReduce,
 };
 use carve_sfc::{Curve, Octant, MAX_LEVEL};
 use std::cell::RefCell;
@@ -114,18 +115,16 @@ pub struct CacheStats {
 }
 
 /// Everything a scenario needs to answer requests without re-running
-/// setup: the distributed mesh, the assembled stiffness CSR, the
-/// globally-consistent Jacobi preconditioner, optionally the multigrid
+/// setup: the distributed mesh (holding its recorded MATVEC leaf plan),
+/// the globally-consistent Jacobi preconditioner, optionally the multigrid
 /// hierarchy, and the warm per-request state (traversal workspace with its
-/// ghosted-input scratch and exchange lanes, Krylov buffer pool).
+/// ghosted-input scratch and exchange lanes, Krylov buffer pool). No
+/// sparse matrix: every solve applies the operator matrix-free.
 pub struct ScenarioEntry<const DIM: usize> {
     pub spec: ScenarioSpec,
     pub dm: DistMesh<DIM>,
-    /// Locally-assembled stiffness rows (owned-element contributions over
-    /// local node indices; accumulate across ranks for global rows).
-    pub csr: CsrMatrix,
     /// Jacobi preconditioner over the ghost-accumulated (globally
-    /// consistent) diagonal.
+    /// consistent) stiffness diagonal.
     jacobi: JacobiPrecond,
     /// Sequential V-cycle hierarchy, when the spec asked for one.
     mg: Option<Multigrid<DIM>>,
@@ -135,30 +134,28 @@ pub struct ScenarioEntry<const DIM: usize> {
     /// Pooled Krylov work vectors, reused across solves (LIFO, so repeat
     /// same-size solves are pointer-stable).
     scratch: RefCell<KrylovScratch>,
-    /// Resident-byte estimate used for LRU accounting.
+    /// Resident-byte estimate used for LRU accounting: mesh arrays, leaf
+    /// plan and Jacobi diagonal.
     pub bytes: usize,
 }
 
-fn estimate_bytes<const DIM: usize>(dm: &DistMesh<DIM>, csr: &CsrMatrix) -> usize {
+/// Entry bytes: the mesh arrays, its leaf plan (recorded here, ahead of
+/// the first solve) and the Jacobi inverse diagonal.
+fn estimate_bytes<const DIM: usize>(dm: &DistMesh<DIM>) -> usize {
     dm.elems.len() * size_of::<Octant<DIM>>()
         + dm.nodes.coords.len() * (DIM * 8 + 2)
         + dm.owner.len() * 4
         + dm.global_id.len() * 4
-        + csr.vals.len() * (8 + 4)
-        + csr.row_ptr.len() * 8
-        + csr.n * 8 // jacobi inverse diagonal
+        + dm.leaf_plan_bytes()
+        + dm.nodes.len() * 8 // jacobi inverse diagonal
 }
 
 impl<const DIM: usize> ScenarioEntry<DIM> {
-    /// Cache-miss path: build the mesh, assemble the CSR through the
-    /// (shared, capacity-reusing) triplet builder, derive the consistent
-    /// Jacobi diagonal, optionally build the multigrid hierarchy.
-    fn build(
-        comm: &Comm,
-        domain: &dyn Subdomain<DIM>,
-        spec: ScenarioSpec,
-        coo: &mut CooBuilder,
-    ) -> Self {
+    /// Cache-miss path: build the mesh, accumulate the stiffness diagonal
+    /// with a diagonal-only assembly traversal, make it globally
+    /// consistent for Jacobi, optionally build the multigrid hierarchy,
+    /// and record the MATVEC leaf plan while sizing the entry.
+    fn build(comm: &Comm, domain: &dyn Subdomain<DIM>, spec: ScenarioSpec) -> Self {
         let dm = DistMesh::<DIM>::build(
             comm,
             domain,
@@ -169,26 +166,24 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
         );
         let n = dm.nodes.len();
         let p = dm.order as usize;
-        let npe = carve_core::nodes::nodes_per_elem::<DIM>(dm.order);
-        coo.reset(n);
-        coo.reserve(dm.owned.len() * npe * npe);
         let ids: Vec<u32> = (0..n as u32).collect();
         let mut ws = TraversalWorkspace::new();
         let make_kernel = || StiffnessMatrixKernel::<DIM>::new(p, spec.scale);
+        // Locally assembled diagonal (owned-element contributions over
+        // local node indices).
+        let mut diag = vec![0.0; n];
         traversal_assemble_par(
             &dm.elems,
             dm.owned.clone(),
             dm.curve,
             &dm.nodes,
             &ids,
-            coo,
+            &mut diag,
             &mut ws,
             &make_kernel,
         );
-        let csr = coo.build_and_clear();
         // Globally consistent diagonal: partition-surface rows get their
         // remote contributions, ghost entries mirror their owners.
-        let mut diag = csr.diagonal();
         dm.ghost_accumulate(comm, &mut diag);
         dm.ghost_read(comm, &mut diag);
         let jacobi = JacobiPrecond::new(&diag);
@@ -204,11 +199,10 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
                 &constrain,
             )
         });
-        let bytes = estimate_bytes(&dm, &csr);
+        let bytes = estimate_bytes(&dm);
         ScenarioEntry {
             spec,
             dm,
-            csr,
             jacobi,
             mg,
             ws: RefCell::new(ws),
@@ -328,12 +322,10 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
 }
 
 /// LRU scenario cache (recency-ordered, most recent last), byte-bounded by
-/// `CARVE_CACHE_BYTES`. The triplet builder is shared across builds so
-/// repeated cache misses reuse its grown capacity.
+/// `CARVE_CACHE_BYTES` against each entry's [`ScenarioEntry::bytes`].
 pub struct ScenarioCache<const DIM: usize> {
     entries: Vec<ScenarioEntry<DIM>>,
     cap_bytes: usize,
-    coo: CooBuilder,
     stats: CacheStats,
 }
 
@@ -358,7 +350,6 @@ impl<const DIM: usize> ScenarioCache<DIM> {
         ScenarioCache {
             entries: Vec::new(),
             cap_bytes,
-            coo: CooBuilder::new(0),
             stats: CacheStats::default(),
         }
     }
@@ -414,7 +405,7 @@ impl<const DIM: usize> ScenarioCache<DIM> {
         } else {
             self.stats.misses += 1;
             carve_obs::counter("cache_misses", 1);
-            let e = ScenarioEntry::build(comm, domain, spec, &mut self.coo);
+            let e = ScenarioEntry::build(comm, domain, spec);
             self.evict_to_fit(e.bytes);
             self.stats.admitted_bytes += e.bytes as u64;
             carve_obs::counter("cache_bytes", e.bytes as u64);
@@ -556,7 +547,9 @@ pub fn coord_field<const DIM: usize>(
 mod tests {
     use super::*;
     use carve_comm::run_spmd;
+    use carve_core::traversal_assemble;
     use carve_geom::{CarvedSolids, Sphere};
+    use carve_la::{CooBuilder, Precond};
 
     fn sphere_spec(mg: Option<u8>) -> (CarvedSolids<2>, ScenarioSpec) {
         let domain = CarvedSolids::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.2))]);
@@ -611,6 +604,82 @@ mod tests {
             for (a, b) in hit_u.iter().zip(&miss_u) {
                 assert_eq!(a.to_bits(), b.to_bits(), "hit vs miss solve drifted");
             }
+        });
+    }
+
+    #[test]
+    fn jacobi_diagonal_matches_ghost_accumulated_csr_diagonal() {
+        run_spmd(2, |c| {
+            let (domain, spec) = sphere_spec(None);
+            for order in [1u64, 2] {
+                let spec = ScenarioSpec { order, ..spec };
+                let mut cache = ScenarioCache::<2>::with_cap_bytes(64 << 20);
+                let e = cache.get_or_build(c, &domain, spec);
+                let dm = &e.dm;
+                let n = dm.nodes.len();
+                // Oracle: the full local CSR, its diagonal made globally
+                // consistent exactly as the miss path does.
+                let ids: Vec<u32> = (0..n as u32).collect();
+                let mut coo = CooBuilder::new(n);
+                traversal_assemble(
+                    &dm.elems,
+                    dm.owned.clone(),
+                    dm.curve,
+                    &dm.nodes,
+                    &ids,
+                    &mut coo,
+                    &mut StiffnessMatrixKernel::<2>::new(order as usize, spec.scale),
+                );
+                let mut oracle = coo.build().diagonal();
+                dm.ghost_accumulate(c, &mut oracle);
+                dm.ghost_read(c, &mut oracle);
+                let mut inv = vec![0.0; n];
+                e.jacobi.apply(&vec![1.0; n], &mut inv);
+                for (i, (iv, o)) in inv.iter().zip(&oracle).enumerate() {
+                    assert!(
+                        (iv * o - 1.0).abs() <= 1e-13,
+                        "p={order} node {i}: 1/diag {iv} vs CSR diagonal {o}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn entry_bytes_sum_mesh_plan_and_diagonal() {
+        let _obs = carve_obs::force_enabled();
+        let plans_in = |d: &carve_obs::Snapshot| -> u64 {
+            d.phases
+                .values()
+                .filter_map(|st| st.counters.get("plans"))
+                .sum()
+        };
+        run_spmd(2, |c| {
+            let (domain, spec) = sphere_spec(None);
+            let mut cache = ScenarioCache::<2>::with_cap_bytes(64 << 20);
+            let before = carve_obs::thread_snapshot();
+            let e = cache.get_or_build(c, &domain, spec);
+            let built = carve_obs::thread_snapshot().diff(&before);
+            assert_eq!(plans_in(&built), 1, "the miss path records the leaf plan");
+            let dm = &e.dm;
+            let mesh = dm.elems.len() * size_of::<Octant<2>>()
+                + dm.nodes.coords.len() * (2 * 8 + 2)
+                + dm.owner.len() * 4
+                + dm.global_id.len() * 4;
+            let plan = dm.leaf_plan_bytes();
+            let jacobi = dm.nodes.len() * 8;
+            assert!(plan > 0);
+            assert_eq!(e.bytes, mesh + plan + jacobi);
+            // The first solve replays the recorded plan; the size stays put.
+            let b = rhs_field(dm);
+            let mut x = vec![0.0; b.len()];
+            let before = carve_obs::thread_snapshot();
+            e.solve(c, &b, &mut x, 0.0, ITERS);
+            let solved = carve_obs::thread_snapshot().diff(&before);
+            assert_eq!(plans_in(&solved), 0, "the solve re-recorded the plan");
+            assert_eq!(dm.leaf_plan_bytes(), plan);
+            let bytes = e.bytes;
+            assert_eq!(cache.resident_bytes(), bytes);
         });
     }
 

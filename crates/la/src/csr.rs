@@ -33,15 +33,6 @@ impl CooBuilder {
         self.entries.reserve(additional);
     }
 
-    /// Retargets the builder at a (possibly different-sized) system while
-    /// keeping the triplet allocation: a serving loop that assembles one
-    /// scenario after another reuses the grown capacity instead of paying a
-    /// fresh reallocation ramp per request.
-    pub fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.entries.clear();
-    }
-
     #[inline]
     pub fn add(&mut self, row: usize, col: usize, val: f64) {
         debug_assert!(row < self.n && col < self.n);

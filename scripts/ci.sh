@@ -28,7 +28,8 @@
 #                      hit ≥5× faster than miss, block-CG ≤1/3 the
 #                      rounds) plus the latency-stripped report
 #                      byte-compared over threads {1,4} x {clean, lossy
-#                      chaos} (DESIGN.md §6i)
+#                      chaos} and against the committed golden report
+#                      (DESIGN.md §6i)
 #   scaling-gate       repro_scaling --check vs the committed scaling
 #                      artifact (per-rank replay structure at 256..28672
 #                      ranks, digests, reference-model efficiencies)
@@ -141,7 +142,9 @@ run_stage() {
     # hit-vs-miss latency floor and the block-CG round budget, then the
     # latency-stripped document byte-compared over threads {1,4} x
     # {clean, lossy chaos} — every request/cache/round count and the
-    # solution/read digest must be a pure function of the trace.
+    # solution/read digest must be a pure function of the trace — and
+    # against the golden report committed under crates/bench/golden/, so
+    # a change that moves every run alike fails too.
     serve-gate)
       cargo build --release -q -p carve-bench --bin bench_serve
       local tmp
@@ -158,7 +161,9 @@ run_stage() {
         cmp "$tmp/t1.json" "$tmp/$f.json" \
           || { echo "ci: serve replay t1 vs $f differs" >&2; return 1; }
       done
-      echo "ci: serve replay deterministic over threads {1,4} x {clean,lossy}"
+      cmp crates/bench/golden/serve_replay.json "$tmp/t1.json" \
+        || { echo "ci: serve replay differs from the golden document" >&2; return 1; }
+      echo "ci: serve replay deterministic over threads {1,4} x {clean,lossy} and equal to golden"
       ;;
     # The committed replay-scaling artifact (newest SCALING_PR*.json) must
     # be regenerable from source, bit-for-bit in its per-rank structure:
