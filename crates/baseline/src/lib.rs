@@ -214,7 +214,7 @@ pub fn complete_tree_partition_active_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carve_core::traversal_matvec;
+    use carve_core::{traversal_matvec, TraversalWorkspace};
     use carve_geom::{CarvedSolids, Sphere};
     use rand::{Rng, SeedableRng};
 
@@ -283,7 +283,8 @@ mod tests {
             &carved.nodes,
             &x,
             &mut y2,
-            &mut kernel,
+            &mut TraversalWorkspace::new(),
+            &|| kernel,
         );
         for (a, b) in y1.iter().zip(&y2) {
             assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));

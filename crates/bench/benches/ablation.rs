@@ -7,7 +7,7 @@
 //!   matrices (why constant-coefficient operators fly and NS doesn't),
 //! * Morton vs Hilbert ordering for the traversal MATVEC.
 
-use carve_core::{traversal_matvec, Mesh};
+use carve_core::{traversal_matvec, Mesh, TraversalWorkspace};
 use carve_fem::poisson::reference_stiffness;
 use carve_fem::ElementCache;
 use carve_geom::{CarvedSolids, Sphere};
@@ -106,7 +106,13 @@ fn bench_kernels(c: &mut Criterion) {
             BenchmarkId::new("traversal_matvec", format!("{curve:?}")),
             &mesh,
             |b, mesh| {
-                let mut cache = ElementCache::<3>::new(1);
+                let make_kernel = || {
+                    let mut cache = ElementCache::<3>::new(1);
+                    move |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
+                        cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
+                    }
+                };
+                let mut ws = TraversalWorkspace::with_threads(1);
                 let mut y = vec![0.0; n];
                 b.iter(|| {
                     y.iter_mut().for_each(|v| *v = 0.0);
@@ -117,9 +123,8 @@ fn bench_kernels(c: &mut Criterion) {
                         &mesh.nodes,
                         &x,
                         &mut y,
-                        &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
-                            cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
-                        },
+                        &mut ws,
+                        &make_kernel,
                     );
                     y[0]
                 })

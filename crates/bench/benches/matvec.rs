@@ -4,7 +4,7 @@
 //! MATVEC configuration.
 
 use carve_baseline::ImmersedMesh;
-use carve_core::{traversal_assemble, traversal_matvec, Mesh};
+use carve_core::{traversal_assemble, traversal_matvec, Mesh, TraversalWorkspace};
 use carve_fem::ElementCache;
 use carve_geom::{CarvedSolids, FullDomain, Sphere};
 use carve_la::CooBuilder;
@@ -30,7 +30,13 @@ fn bench_matvec(c: &mut Criterion) {
             BenchmarkId::new("traversal_tensor", format!("p{order}")),
             &mesh,
             |b, mesh| {
-                let mut cache = ElementCache::<3>::new(p);
+                let make_kernel = || {
+                    let mut cache = ElementCache::<3>::new(p);
+                    move |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
+                        cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
+                    }
+                };
+                let mut ws = TraversalWorkspace::with_threads(1);
                 let mut y = vec![0.0; n];
                 b.iter(|| {
                     y.iter_mut().for_each(|v| *v = 0.0);
@@ -41,9 +47,8 @@ fn bench_matvec(c: &mut Criterion) {
                         &mesh.nodes,
                         &x,
                         &mut y,
-                        &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
-                            cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
-                        },
+                        &mut ws,
+                        &make_kernel,
                     );
                     y[0]
                 })
@@ -73,7 +78,6 @@ fn bench_matvec(c: &mut Criterion) {
         );
 
         // Assembled CSR.
-        let cache = ElementCache::<3>::new(p);
         let mut coo = CooBuilder::new(n);
         let ids: Vec<u32> = (0..n as u32).collect();
         traversal_assemble(
@@ -83,7 +87,11 @@ fn bench_matvec(c: &mut Criterion) {
             &mesh.nodes,
             &ids,
             &mut coo,
-            &mut |e: &Octant<3>| cache.stiffness(e.bounds_unit().1),
+            &mut TraversalWorkspace::new(),
+            &|| {
+                let cache = ElementCache::<3>::new(p);
+                move |e: &Octant<3>| cache.stiffness(e.bounds_unit().1)
+            },
         );
         let a = coo.build();
         g.bench_with_input(

@@ -9,7 +9,7 @@
 //!
 //! Usage: `matvec_digest [OUT.txt]` — writes to the path, or stdout.
 
-use carve_core::{traversal_matvec_par, Mesh, TraversalWorkspace};
+use carve_core::{traversal_matvec, Mesh, TraversalWorkspace};
 use carve_fem::StiffnessKernel;
 use carve_geom::{CarvedSolids, Sphere};
 use carve_sfc::Curve;
@@ -38,7 +38,7 @@ fn digest<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64) -> u64 {
     // Two rounds through the same workspace so arena/pool reuse is covered.
     for _ in 0..2 {
         y.iter_mut().for_each(|v| *v = 0.0);
-        traversal_matvec_par(
+        traversal_matvec(
             &mesh.elems,
             0..mesh.elems.len(),
             mesh.curve,

@@ -93,16 +93,15 @@ fn dist_snapshots(case: &SmokeCase) -> Vec<Snapshot> {
         // A few fused-reduction CG iterations through the same operator:
         // puts `reductions_fused` and the Krylov-loop exchange pattern
         // (2 rounds per apply, no trailing consistency read) on the record.
-        let ws_cell = std::cell::RefCell::new(ws);
+        let ws_cell = std::cell::RefCell::new(carve_core::TraversalWorkspace::with_threads(1));
         let op = (dm.nodes.len(), |xv: &[f64], yv: &mut [f64]| {
-            let mut kernel = make_kernel();
-            dm.matvec_ws(
+            dm.matvec_par(
                 c,
                 xv,
                 yv,
                 &mut ws_cell.borrow_mut(),
                 GhostState::OwnedOnly,
-                &mut kernel,
+                &make_kernel,
             );
         });
         let mut sol = vec![0.0; dm.nodes.len()];
@@ -188,17 +187,16 @@ fn recovery_snapshots() -> Vec<Snapshot> {
         let dm = DistMesh::<3>::build(c, &*domain, Curve::Hilbert, 3, 4, 1);
         let n = dm.nodes.len();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let ws = std::cell::RefCell::new(carve_core::TraversalWorkspace::new());
+        let ws = std::cell::RefCell::new(carve_core::TraversalWorkspace::with_threads(1));
         let make_kernel = || StiffnessKernel::<3>::new(1, 16.0);
         let op = (n, |xv: &[f64], yv: &mut [f64]| {
-            let mut kernel = make_kernel();
-            dm.matvec_ws(
+            dm.matvec_par(
                 c,
                 xv,
                 yv,
                 &mut ws.borrow_mut(),
                 GhostState::OwnedOnly,
-                &mut kernel,
+                &make_kernel,
             );
         });
         let rank = c.rank();

@@ -373,29 +373,22 @@ mod tests {
                 let field: Vec<f64> = dm.nodes.coords.iter().map(keyed).collect();
                 let field_fresh: Vec<f64> = fresh.nodes.coords.iter().map(keyed).collect();
                 let mut ws = TraversalWorkspace::with_threads(threads);
-                let mut kernel = |e: &Octant<2>, vals: &[f64], out: &mut [f64]| {
+                let kernel = |e: &Octant<2>, vals: &[f64], out: &mut [f64]| {
                     let s = e.side() as f64;
                     for (o, v) in out.iter_mut().zip(vals) {
                         *o = s.mul_add(*v, *v);
                     }
                 };
                 let mut y1 = vec![0.0; dm.nodes.len()];
-                dm.matvec_ws(
-                    c,
-                    &field,
-                    &mut y1,
-                    &mut ws,
-                    GhostState::Ghosted,
-                    &mut kernel,
-                );
+                dm.matvec_par(c, &field, &mut y1, &mut ws, GhostState::Ghosted, &|| kernel);
                 let mut y2 = vec![0.0; fresh.nodes.len()];
-                fresh.matvec_ws(
+                fresh.matvec_par(
                     c,
                     &field_fresh,
                     &mut y2,
                     &mut ws,
                     GhostState::Ghosted,
-                    &mut kernel,
+                    &|| kernel,
                 );
                 let bits: Vec<u64> = y1.iter().map(|v| v.to_bits()).collect();
                 let bits2: Vec<u64> = y2.iter().map(|v| v.to_bits()).collect();
@@ -424,7 +417,7 @@ mod tests {
             let x: Vec<f64> = dm.nodes.coords.iter().map(keyed).collect();
             let mut y = vec![0.0; dm.nodes.len()];
             let before = carve_obs::thread_snapshot();
-            dm.matvec_ws(c, &x, &mut y, ws, GhostState::Ghosted, &mut kernel);
+            dm.matvec_par(c, &x, &mut y, ws, GhostState::Ghosted, &|| kernel);
             let d = carve_obs::thread_snapshot().diff(&before);
             let plans = d
                 .phases

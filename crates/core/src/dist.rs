@@ -17,10 +17,7 @@
 
 use crate::balance::bottom_up_constrain_neighbors;
 use crate::construct::{construct_constrained, construct_uniform};
-use crate::matvec::{
-    traversal_matvec_overlap_par, traversal_matvec_overlap_ws, traversal_matvec_par,
-    traversal_matvec_ws, TraversalWorkspace,
-};
+use crate::matvec::{traversal_matvec, traversal_matvec_overlap, TraversalWorkspace};
 use crate::nodes::{
     elem_node_coord, enumerate_nodes, lattice_index, nodes_per_elem, resolve_slot, NodeSet, SlotRef,
 };
@@ -296,86 +293,17 @@ impl<const DIM: usize> DistMesh<DIM> {
     }
 
     /// Distributed MATVEC `y = A x` on local vectors (indexed like
-    /// `self.nodes`): post the ghost-read of `x`, traverse interior
-    /// elements while it is in flight, wait (`matvec/ghost_wait`), traverse
-    /// boundary elements, ghost-accumulate `y`, and finish with a ghost-read
-    /// of `y` so every rank holds consistent values ([`GhostState::Ghosted`]
-    /// semantics). Phase timings report through `carve-obs`.
-    pub fn matvec<K>(&self, comm: &Comm, x: &[f64], y: &mut [f64], kernel: &mut K)
-    where
-        K: crate::matvec::LeafKernel<DIM>,
-    {
-        let mut ws = TraversalWorkspace::with_threads(1);
-        self.matvec_ws(comm, x, y, &mut ws, GhostState::Ghosted, kernel);
-    }
-
-    /// [`Self::matvec`] reusing a caller-held [`TraversalWorkspace`] (no
-    /// per-apply allocation: the ghosted input lives in the workspace) with
-    /// an explicit output [`GhostState`]. `OwnedOnly` skips the trailing
-    /// consistency read — the right choice inside Krylov loops.
-    pub fn matvec_ws<K>(
-        &self,
-        comm: &Comm,
-        x: &[f64],
-        y: &mut [f64],
-        ws: &mut TraversalWorkspace<DIM>,
-        ghost: GhostState,
-        kernel: &mut K,
-    ) where
-        K: crate::matvec::LeafKernel<DIM>,
-    {
-        let mut xg = ws.take_ghost_scratch();
-        xg.clear();
-        xg.extend_from_slice(x);
-        y.iter_mut().for_each(|v| *v = 0.0);
-        if comm.size() == 1 {
-            // Zero-comm fast path: no exchange posted, no tag ticked.
-            traversal_matvec_ws(
-                &self.elems,
-                self.owned.clone(),
-                self.curve,
-                &self.nodes,
-                &xg,
-                y,
-                ws,
-                kernel,
-            );
-            ws.restore_ghost_scratch(xg);
-            return;
-        }
-        {
-            let mut ex = self.exchange.borrow_mut();
-            let pending = {
-                let _obs = carve_obs::scope("ghost_read");
-                ex.post_read(comm, &xg)
-            };
-            let wait = move |v: &mut [f64]| {
-                ex.wait_read(comm, pending, v);
-            };
-            traversal_matvec_overlap_ws(
-                &self.elems,
-                self.owned.clone(),
-                self.curve,
-                &self.nodes,
-                &mut xg,
-                y,
-                ws,
-                &self.boundary_elem,
-                wait,
-                kernel,
-            );
-        }
-        ws.restore_ghost_scratch(xg);
-        self.ghost_accumulate(comm, y);
-        if matches!(ghost, GhostState::Ghosted) {
-            self.ghost_read(comm, y);
-        }
-    }
-
-    /// Fork-join [`Self::matvec`]: interior subtree tasks run on up to
-    /// `ws.threads()` workers *while this thread waits on the ghost
-    /// exchange*, then boundary tasks fork after the payloads land. Output
-    /// is bitwise identical for any thread count and to [`Self::matvec_ws`].
+    /// `self.nodes`): post the ghost-read of `x`, run the interior subtree
+    /// tasks on up to `ws.threads()` workers *while this thread waits on the
+    /// exchange* (`matvec/ghost_wait`), run the boundary tasks after the
+    /// payloads land, ghost-accumulate `y`, and — for
+    /// [`GhostState::Ghosted`] — finish with a ghost-read of `y` so every
+    /// rank holds consistent values. `OwnedOnly` skips that trailing read,
+    /// the right choice inside Krylov loops. `make_kernel` builds one
+    /// elemental kernel per worker; the ghosted input lives in the
+    /// caller-held workspace, so repeated applies allocate nothing. Output
+    /// is bitwise identical for any thread count. Phase timings report
+    /// through `carve-obs`.
     pub fn matvec_par<K, F>(
         &self,
         comm: &Comm,
@@ -393,7 +321,8 @@ impl<const DIM: usize> DistMesh<DIM> {
         xg.extend_from_slice(x);
         y.iter_mut().for_each(|v| *v = 0.0);
         if comm.size() == 1 {
-            traversal_matvec_par(
+            // Zero-comm fast path: no exchange posted, no tag ticked.
+            traversal_matvec(
                 &self.elems,
                 self.owned.clone(),
                 self.curve,
@@ -415,7 +344,7 @@ impl<const DIM: usize> DistMesh<DIM> {
             let wait = move |v: &mut [f64]| {
                 ex.wait_read(comm, pending, v);
             };
-            traversal_matvec_overlap_par(
+            traversal_matvec_overlap(
                 &self.elems,
                 self.owned.clone(),
                 self.curve,
@@ -990,7 +919,6 @@ pub fn dist_construct_constrained<const DIM: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matvec::traversal_matvec;
     use crate::mesh::Mesh;
     use carve_comm::run_spmd;
     use carve_geom::{CarvedSolids, FullDomain, RetainBox, Sphere};
@@ -1060,7 +988,8 @@ mod tests {
             &seq.nodes,
             &x_global,
             &mut y_ref,
-            &mut toy_kernel::<2>(),
+            &mut TraversalWorkspace::new(),
+            &toy_kernel::<2>,
         );
         // Distributed: global ids on the distributed side must map onto the
         // sequential node order for comparison; both sides sort nodes by
@@ -1080,7 +1009,14 @@ mod tests {
                 })
                 .collect();
             let mut y = vec![0.0; x_local.len()];
-            m.matvec(c, &x_local, &mut y, &mut toy_kernel::<2>());
+            m.matvec_par(
+                c,
+                &x_local,
+                &mut y,
+                &mut TraversalWorkspace::new(),
+                GhostState::Ghosted,
+                &toy_kernel::<2>,
+            );
             // Report owned node results keyed by coordinate.
             (0..m.nodes.len())
                 .filter(|&i| m.owner[i] as usize == c.rank())
@@ -1103,7 +1039,8 @@ mod tests {
             &seq.nodes,
             &x_keyed,
             &mut y_keyed,
-            &mut toy_kernel::<2>(),
+            &mut TraversalWorkspace::new(),
+            &toy_kernel::<2>,
         );
         let mut seen = 0;
         for per_rank in &results {
@@ -1303,24 +1240,24 @@ mod tests {
             let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
             let mut ws = TraversalWorkspace::with_threads(1);
             let mut y_ref = vec![0.0; x.len()];
-            m.matvec_ws(
+            m.matvec_par(
                 c,
                 &x,
                 &mut y_ref,
                 &mut ws,
                 GhostState::OwnedOnly,
-                &mut toy_kernel::<2>(),
+                &toy_kernel::<2>,
             );
             let mut y_warm = vec![0.0; x.len()];
-            m.matvec_ws(
+            m.matvec_par(
                 c,
                 &x,
                 &mut y_warm,
                 &mut ws,
                 GhostState::OwnedOnly,
-                &mut toy_kernel::<2>(),
+                &toy_kernel::<2>,
             );
-            assert_eq!(bits(&y_ref), bits(&y_warm), "warm matvec_ws drifted");
+            assert_eq!(bits(&y_ref), bits(&y_warm), "warm matvec drifted");
             let mk = || toy_kernel::<2>();
             for t in [1usize, 2, 8] {
                 let mut wst = TraversalWorkspace::with_threads(t);
@@ -1388,13 +1325,13 @@ mod tests {
             let x = keyed_field(&m);
             let mut y = vec![0.0; x.len()];
             let mut ws = TraversalWorkspace::with_threads(2);
-            m.matvec_ws(
+            m.matvec_par(
                 c,
                 &x,
                 &mut y,
                 &mut ws,
                 GhostState::Ghosted,
-                &mut toy_kernel::<2>(),
+                &toy_kernel::<2>,
             );
             assert!(y.iter().all(|v| v.is_finite()));
             let mk = || toy_kernel::<2>();
@@ -1425,13 +1362,13 @@ mod tests {
             let b = keyed_field(&m);
             let ws = std::cell::RefCell::new(TraversalWorkspace::with_threads(1));
             let op = (n, |xv: &[f64], yv: &mut [f64]| {
-                m.matvec_ws(
+                m.matvec_par(
                     c,
                     xv,
                     yv,
                     &mut ws.borrow_mut(),
                     GhostState::OwnedOnly,
-                    &mut toy_kernel::<2>(),
+                    &toy_kernel::<2>,
                 );
             });
             let mut x = vec![0.0; n];
@@ -1439,13 +1376,13 @@ mod tests {
             let res = cg_with(&op, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 500, &rd);
             // Independent residual check through the distributed operator.
             let mut ax = vec![0.0; n];
-            m.matvec_ws(
+            m.matvec_par(
                 c,
                 &x,
                 &mut ax,
                 &mut ws.borrow_mut(),
                 GhostState::OwnedOnly,
-                &mut toy_kernel::<2>(),
+                &toy_kernel::<2>,
             );
             let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
             let mut out = [0.0; 2];
@@ -1481,13 +1418,13 @@ mod tests {
             let b = keyed_field(&m);
             let ws = std::cell::RefCell::new(TraversalWorkspace::with_threads(1));
             let op = (n, |xv: &[f64], yv: &mut [f64]| {
-                m.matvec_ws(
+                m.matvec_par(
                     c,
                     xv,
                     yv,
                     &mut ws.borrow_mut(),
                     GhostState::OwnedOnly,
-                    &mut toy_kernel::<2>(),
+                    &toy_kernel::<2>,
                 );
             });
             let rank = c.rank();
@@ -1584,25 +1521,25 @@ mod tests {
             let x = keyed_field(&m);
             let mut y = vec![0.0; x.len()];
             let mut ws = TraversalWorkspace::with_threads(1);
-            m.matvec_ws(
+            m.matvec_par(
                 c,
                 &x,
                 &mut y,
                 &mut ws,
                 GhostState::OwnedOnly,
-                &mut toy_kernel::<2>(),
+                &toy_kernel::<2>,
             );
             let s = ws.take_ghost_scratch();
             let (ptr, cap) = (s.as_ptr() as usize, s.capacity());
             assert!(cap >= x.len());
             ws.restore_ghost_scratch(s);
-            m.matvec_ws(
+            m.matvec_par(
                 c,
                 &x,
                 &mut y,
                 &mut ws,
                 GhostState::OwnedOnly,
-                &mut toy_kernel::<2>(),
+                &toy_kernel::<2>,
             );
             let s = ws.take_ghost_scratch();
             assert_eq!(
@@ -1629,13 +1566,13 @@ mod tests {
             let n = m.nodes.len();
             let ws_cell = std::cell::RefCell::new(TraversalWorkspace::with_threads(1));
             let op = (n, |xv: &[f64], yv: &mut [f64]| {
-                m.matvec_ws(
+                m.matvec_par(
                     c,
                     xv,
                     yv,
                     &mut ws_cell.borrow_mut(),
                     GhostState::OwnedOnly,
-                    &mut toy_kernel::<2>(),
+                    &toy_kernel::<2>,
                 );
             });
             let rd = m.reducer(c);

@@ -16,23 +16,29 @@
 //!
 //! # Execution model (DESIGN.md §6d)
 //!
-//! The engine splits the tree at a fixed *spine* depth into SFC-contiguous
-//! subtree **tasks**. The spine buckets are built serially; tasks then run
-//! either inline or fork-joined across scoped worker threads
-//! (`CARVE_PAR_THREADS` / `available_parallelism` via
-//! [`crate::par::thread_budget`]). A task owns its subtree's bucket stack;
-//! writes that would land in a shared ancestor bucket (hanging-node
-//! scatters) are appended to a per-task **scatter log** and replayed on the
-//! main thread at join time, in SFC task order, interleaved with the
-//! bottom-up bucket merges exactly where the sequential traversal would
-//! have performed them. Every floating-point accumulation therefore happens
-//! in the *same order for any thread count* (and any split depth): results
-//! are bitwise identical to the sequential engine by construction.
+//! The engine buckets the root's nodes into its children serially; each
+//! non-empty child subtree holding owned elements is one SFC-contiguous
+//! **task**. Tasks then run either inline or fork-joined across scoped
+//! worker threads (`CARVE_PAR_THREADS` / `available_parallelism` via
+//! [`crate::par::thread_budget`]) by one fork-join runner shared by the
+//! MATVEC, its overlapped interior/boundary passes and assembly. A task owns
+//! its subtree's bucket stack; writes that would land in the shared root
+//! bucket (hanging-node scatters) are appended to a per-task **scatter
+//! log** and replayed on the main thread at join time, in SFC task order,
+//! interleaved with the bottom-up bucket merges exactly where the
+//! sequential traversal would have performed them. Every floating-point
+//! accumulation therefore happens in the *same order for any thread count*:
+//! results are bitwise identical to the sequential engine by construction.
 //!
-//! All bucket vectors come from a [`TraversalWorkspace`] arena that pools
-//! them across recursion levels *and* across repeated calls (Krylov
-//! iterations). Observability: `par_workers`, `arena_alloc` and
-//! `arena_reuse` counters join the existing `leaves` / `node_copies`.
+//! Three entry points drive the engine: [`traversal_matvec`],
+//! [`traversal_assemble`] and, for distributed meshes,
+//! [`crate::DistMesh::matvec_par`], which overlaps the ghost exchange with
+//! the interior tasks. Each takes a kernel *factory*, so every worker
+//! builds its own kernel. All bucket vectors come from a caller-held
+//! [`TraversalWorkspace`] arena that pools them across recursion levels
+//! *and* across repeated calls (Krylov iterations). Observability:
+//! `par_workers`, `arena_alloc` and `arena_reuse` counters join the
+//! existing `leaves` / `node_copies`.
 //!
 //! # Leaf plans (DESIGN.md §6j)
 //!
@@ -78,6 +84,7 @@ use carve_la::CooBuilder;
 use carve_la::DenseMatrix;
 use carve_sfc::morton::point_cmp_morton;
 use carve_sfc::{Curve, Octant, SfcState};
+use std::borrow::BorrowMut;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -89,8 +96,8 @@ use std::sync::{Arc, Mutex};
 // rank's recorder (`carve_obs::absorb_rebased`), so per-rank snapshots
 // stay complete under fork-join execution.
 
-/// Scatter-log entry `(ancestor depth | row, bucket slot | col, value)`:
-/// the matvec path logs deferred ancestor-bucket accumulations, the
+/// Scatter-log entry `(bucket depth | row, bucket slot | col, value)`:
+/// the matvec path logs deferred root-bucket accumulations, the
 /// assembly path reuses the same buffer for global `(row, col, val)`
 /// entries bound for its [`AssemblySink`]. Either way the log is replayed
 /// in SFC task order.
@@ -144,19 +151,17 @@ struct WorkerScratch<const DIM: usize> {
     reuse: u64,
 }
 
-/// Reusable arena for the traversal engine: bucket vectors, scatter logs,
-/// and per-worker scratch pooled across recursion levels and across calls.
-/// Also carries the intra-rank thread budget (`CARVE_PAR_THREADS` env or
-/// `available_parallelism`) and the spine split depth (`CARVE_PAR_SPLIT`
-/// env, default 1). Results never depend on either knob — see the module
-/// docs — only wall-clock does.
 /// Default panel width: one full sibling group in 3D (`2^3`), the natural
 /// maximum run length the traversal produces.
 const DEFAULT_BATCH_WIDTH: usize = 8;
 
+/// Reusable arena for the traversal engine: bucket vectors, scatter logs,
+/// and per-worker scratch pooled across recursion levels and across calls.
+/// Also carries the intra-rank thread budget (`CARVE_PAR_THREADS` env or
+/// `available_parallelism`) and the maximum leaf-panel width. Results never
+/// depend on either — see the module docs — only wall-clock does.
 pub struct TraversalWorkspace<const DIM: usize> {
     threads: usize,
-    split_depth: u8,
     /// Maximum leaf-panel width (`CARVE_BATCH_WIDTH` env, default 8;
     /// 1 disables batching). Results never depend on it.
     batch_width: usize,
@@ -176,25 +181,29 @@ pub struct TraversalWorkspace<const DIM: usize> {
 impl<const DIM: usize> TraversalWorkspace<DIM> {
     /// Workspace with the environment-resolved thread budget.
     pub fn new() -> Self {
-        let split = std::env::var("CARVE_PAR_SPLIT")
-            .ok()
-            .and_then(|v| v.parse::<u8>().ok())
-            .filter(|&d| d >= 1)
-            .unwrap_or(1)
-            .min(8);
         let batch = std::env::var("CARVE_BATCH_WIDTH")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&w| w >= 1)
             .unwrap_or(DEFAULT_BATCH_WIDTH)
             .min(64);
-        Self::build(par::thread_budget(), split, batch)
+        Self::with_threads(par::thread_budget()).with_batch_width(batch)
     }
 
     /// Workspace with an explicit thread count (tests; avoids racy env
     /// mutation under a parallel test harness).
     pub fn with_threads(threads: usize) -> Self {
-        Self::build(threads, 1, DEFAULT_BATCH_WIDTH)
+        Self {
+            threads: threads.max(1),
+            batch_width: DEFAULT_BATCH_WIDTH,
+            bucket_pool: Vec::new(),
+            log_pool: Vec::new(),
+            scratch: Vec::new(),
+            ghost_scratch: Vec::new(),
+            task_flags: Vec::new(),
+            alloc: 0,
+            reuse: 0,
+        }
     }
 
     /// Sets the maximum leaf-panel width (builder style; tests). `1`
@@ -207,21 +216,6 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
     /// The maximum leaf-panel width batch-capable kernels will see.
     pub fn batch_width(&self) -> usize {
         self.batch_width
-    }
-
-    fn build(threads: usize, split_depth: u8, batch_width: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            split_depth: split_depth.max(1),
-            batch_width: batch_width.max(1),
-            bucket_pool: Vec::new(),
-            log_pool: Vec::new(),
-            scratch: Vec::new(),
-            ghost_scratch: Vec::new(),
-            task_flags: Vec::new(),
-            alloc: 0,
-            reuse: 0,
-        }
     }
 
     /// Takes the persistent ghosted-input scratch vector (empty the first
@@ -262,22 +256,14 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
         l
     }
 
-    fn ensure_scratch(&mut self, n: usize) {
-        while self.scratch.len() < n {
-            self.scratch.push(WorkerScratch::default());
-        }
-    }
-
-    fn release_plan(&mut self, plan: SpinePlan<DIM>) {
+    fn release_plan(&mut self, plan: TaskPlan<DIM>) {
         for t in plan.tasks {
             self.bucket_pool.push(t.bucket);
             let mut log = t.out_log;
             log.clear();
             self.log_pool.push(log);
         }
-        for n in plan.interior {
-            self.bucket_pool.push(n.bucket);
-        }
+        self.bucket_pool.extend(plan.root);
     }
 
     /// Emits and resets the arena's alloc/reuse tallies (engine + workers)
@@ -306,12 +292,12 @@ impl<const DIM: usize> Default for TraversalWorkspace<DIM> {
 
 // --- Task-local bucket stack view -----------------------------------------
 
-/// A task's view of the bucket stack: shared read-only ancestor prefix
-/// (spine buckets), the task's own base bucket, and the task-local stack of
-/// deeper buckets. Writes below the prefix boundary are deferred to the
-/// scatter log; everything else accumulates in place.
+/// A task's view of the bucket stack: the shared read-only root bucket
+/// (absent when the task is the root itself), the task's own base bucket,
+/// and the task-local stack of deeper buckets. Writes into the root are
+/// deferred to the scatter log; everything else accumulates in place.
 struct Ctx<'a, const DIM: usize> {
-    prefix: &'a [&'a Bucket<DIM>],
+    root: Option<&'a Bucket<DIM>>,
     base: &'a mut Bucket<DIM>,
     own: Vec<Bucket<DIM>>,
     log: &'a mut OutLog,
@@ -326,20 +312,24 @@ struct Ctx<'a, const DIM: usize> {
 }
 
 impl<const DIM: usize> Ctx<'_, DIM> {
+    /// Depth of the task's base bucket.
+    #[inline]
+    fn base_depth(&self) -> usize {
+        self.root.is_some() as usize
+    }
+
     #[inline]
     fn top_depth(&self) -> usize {
-        self.prefix.len() + self.own.len()
+        self.base_depth() + self.own.len()
     }
 
     #[inline]
     fn bucket(&self, depth: usize) -> &Bucket<DIM> {
-        let pl = self.prefix.len();
-        if depth < pl {
-            self.prefix[depth]
-        } else if depth == pl {
-            self.base
-        } else {
-            &self.own[depth - pl - 1]
+        let bd = self.base_depth();
+        match self.root {
+            Some(root) if depth < bd => root,
+            _ if depth == bd => self.base,
+            _ => &self.own[depth - bd - 1],
         }
     }
 
@@ -349,17 +339,17 @@ impl<const DIM: usize> Ctx<'_, DIM> {
     }
 
     /// Adds `val` into `vout[slot]` of the depth-`depth` bucket — directly
-    /// when the bucket is task-owned, via the scatter log when it is a
-    /// shared spine ancestor (replayed in order at join).
+    /// when the bucket is task-owned, via the scatter log when it is the
+    /// shared root (replayed in order at join).
     #[inline]
     fn vout_add(&mut self, depth: usize, slot: usize, val: f64) {
-        let pl = self.prefix.len();
-        if depth < pl {
+        let bd = self.base_depth();
+        if depth < bd {
             self.log.push((depth as u32, slot as u32, val));
-        } else if depth == pl {
+        } else if depth == bd {
             self.base.vout[slot] += val;
         } else {
-            self.own[depth - pl - 1].vout[slot] += val;
+            self.own[depth - bd - 1].vout[slot] += val;
         }
     }
 
@@ -627,16 +617,7 @@ pub(crate) fn leaf_plan_bytes<const DIM: usize>(
     if elems.is_empty() || owned.is_empty() {
         return 0;
     }
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: 1,
-    };
-    leaf_plan(&env, nodes).bytes()
+    leaf_plan(&Env::new(elems, owned, curve, nodes, true, 1), nodes).bytes()
 }
 
 /// Records the leaf plan with one coords-only descent over the owned
@@ -807,7 +788,7 @@ fn run_end<const DIM: usize>(
     hi
 }
 
-// --- Spine / task decomposition -------------------------------------------
+// --- Task decomposition ---------------------------------------------------
 
 /// Immutable per-call traversal parameters.
 struct Env<'a, const DIM: usize> {
@@ -823,99 +804,71 @@ struct Env<'a, const DIM: usize> {
     batch: usize,
 }
 
-/// A spine node: a bucket on the serial prefix of the tree, shared
-/// read-only by the tasks below it.
-struct SpineNode<const DIM: usize> {
-    bucket: Bucket<DIM>,
-    kids: Vec<SpineChild>,
+impl<'a, const DIM: usize> Env<'a, DIM> {
+    /// The matvec traversal carries values; assembly carries global ids.
+    fn new(
+        elems: &'a [Octant<DIM>],
+        owned: Range<usize>,
+        curve: Curve,
+        nodes: &NodeSet<DIM>,
+        carry_values: bool,
+        batch: usize,
+    ) -> Self {
+        Self {
+            elems,
+            owned,
+            curve,
+            p: nodes.order,
+            carry_values,
+            carry_ids: !carry_values,
+            batch,
+        }
+    }
 }
 
-#[derive(Clone, Copy)]
-enum SpineChild {
-    Interior(u32),
-    Task(u32),
-}
-
-/// An independent SFC-contiguous subtree of work.
+/// An independent SFC-contiguous subtree of work: one child of the root.
 struct Task<const DIM: usize> {
     oct: Octant<DIM>,
     st: SfcState,
     range: Range<usize>,
-    /// Spine indices of the ancestor buckets, root first; the last entry is
-    /// this task's parent. `len()` equals the task bucket's depth.
-    ancestors: Vec<u32>,
-    /// The task is itself a leaf element (no further descent).
-    is_leaf: bool,
     bucket: Bucket<DIM>,
     out_log: OutLog,
 }
 
-struct SpinePlan<const DIM: usize> {
-    interior: Vec<SpineNode<DIM>>,
+/// The serial top of the traversal: the root bucket, shared read-only by
+/// the tasks below it, and the tasks in SFC order. `root` is `None` for the
+/// degenerate single-element tree, whose lone task holds the root bucket.
+struct TaskPlan<const DIM: usize> {
+    root: Option<Bucket<DIM>>,
     tasks: Vec<Task<DIM>>,
 }
 
-/// Builds the spine buckets serially down to `split_depth` and carves the
-/// remaining subtrees into tasks (SFC order).
-fn build_spine<const DIM: usize>(
+/// Buckets the root's nodes into each child subtree holding owned elements
+/// (serially, under `top_down`), one task per child in SFC order.
+fn split_root<const DIM: usize>(
     env: &Env<'_, DIM>,
-    split_depth: u8,
-    root_bucket: Bucket<DIM>,
+    root: Bucket<DIM>,
     ws: &mut TraversalWorkspace<DIM>,
-) -> SpinePlan<DIM> {
-    let mut plan = SpinePlan {
-        interior: Vec::new(),
-        tasks: Vec::new(),
-    };
-    let all = 0..env.elems.len();
-    if all.len() == 1 && env.elems[0] == Octant::ROOT {
-        // Degenerate single-element tree: the root bucket is the task.
-        plan.tasks.push(Task {
+) -> TaskPlan<DIM> {
+    let n = env.elems.len();
+    if n == 1 && env.elems[0] == Octant::ROOT {
+        let task = Task {
             oct: Octant::ROOT,
             st: SfcState::ROOT,
-            range: all,
-            ancestors: Vec::new(),
-            is_leaf: true,
-            bucket: root_bucket,
+            range: 0..1,
+            bucket: root,
             out_log: ws.acquire_log(),
-        });
-        return plan;
+        };
+        return TaskPlan {
+            root: None,
+            tasks: vec![task],
+        };
     }
-    plan.interior.push(SpineNode {
-        bucket: root_bucket,
-        kids: Vec::new(),
-    });
-    let mut path = vec![0u32];
-    grow(
-        env,
-        split_depth,
-        0,
-        Octant::ROOT,
-        SfcState::ROOT,
-        all,
-        &mut path,
-        &mut plan,
-        ws,
-    );
-    plan
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grow<const DIM: usize>(
-    env: &Env<'_, DIM>,
-    split_depth: u8,
-    node: u32,
-    subtree: Octant<DIM>,
-    st: SfcState,
-    range: Range<usize>,
-    path: &mut Vec<u32>,
-    plan: &mut SpinePlan<DIM>,
-    ws: &mut TraversalWorkspace<DIM>,
-) {
-    let child_level = subtree.level + 1;
-    let mut lo = range.start;
+    let st = SfcState::ROOT;
+    let mut tasks = Vec::new();
+    let mut lo = 0;
     for r in 0..(1usize << DIM) {
-        let hi = run_end(env, st, child_level, lo..range.end, r);
+        let hi = run_end(env, st, 1, lo..n, r);
         if hi == lo {
             continue;
         }
@@ -924,60 +877,33 @@ fn grow<const DIM: usize>(
             lo = hi;
             continue;
         }
-        let m = st.sfc_to_morton(env.curve, DIM, r);
-        let child_oct = subtree.child(m);
-        let child_st = st.child(env.curve, DIM, r);
+        let oct = Octant::ROOT.child(st.sfc_to_morton(env.curve, DIM, r));
         let obs_td = carve_obs::scope("top_down");
-        let mut b = ws.acquire_bucket();
+        let mut bucket = ws.acquire_bucket();
         fill_child_bucket(
-            &plan.interior[node as usize].bucket,
-            &child_oct,
+            &root,
+            &oct,
             env.p,
             env.carry_values,
             env.carry_ids,
-            &mut b,
+            &mut bucket,
         );
-        carve_obs::counter("node_copies", b.coords.len() as u64);
+        carve_obs::counter("node_copies", bucket.coords.len() as u64);
         drop(obs_td);
-        let single_leaf = hi - lo == 1 && env.elems[lo] == child_oct;
-        if single_leaf || child_level >= split_depth {
-            let ti = plan.tasks.len() as u32;
-            plan.tasks.push(Task {
-                oct: child_oct,
-                st: child_st,
-                range: lo..hi,
-                ancestors: path.clone(),
-                is_leaf: single_leaf,
-                bucket: b,
-                out_log: ws.acquire_log(),
-            });
-            plan.interior[node as usize].kids.push(SpineChild::Task(ti));
-        } else {
-            let ci = plan.interior.len() as u32;
-            plan.interior.push(SpineNode {
-                bucket: b,
-                kids: Vec::new(),
-            });
-            plan.interior[node as usize]
-                .kids
-                .push(SpineChild::Interior(ci));
-            path.push(ci);
-            grow(
-                env,
-                split_depth,
-                ci,
-                child_oct,
-                child_st,
-                lo..hi,
-                path,
-                plan,
-                ws,
-            );
-            path.pop();
-        }
+        tasks.push(Task {
+            oct,
+            st: st.child(env.curve, DIM, r),
+            range: lo..hi,
+            bucket,
+            out_log: ws.acquire_log(),
+        });
         lo = hi;
     }
-    debug_assert_eq!(lo, range.end, "elements not fully bucketed");
+    debug_assert_eq!(lo, n, "elements not fully bucketed");
+    TaskPlan {
+        root: Some(root),
+        tasks,
+    }
 }
 
 /// Buckets the parent's nodes incident on `child_oct`'s closed region into
@@ -1184,19 +1110,14 @@ trait LeafVisitor<const DIM: usize> {
     }
 }
 
-/// Runs one task to completion against its ancestor prefix.
+/// Runs one task to completion below the shared root bucket.
 fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
     env: &Env<'_, DIM>,
     task: &mut Task<DIM>,
-    interior: &[SpineNode<DIM>],
+    root: Option<&Bucket<DIM>>,
     scr: &mut WorkerScratch<DIM>,
     visitor: &mut V,
 ) {
-    let prefix: Vec<&Bucket<DIM>> = task
-        .ancestors
-        .iter()
-        .map(|&i| &interior[i as usize].bucket)
-        .collect();
     let WorkerScratch {
         buckets,
         own_stack,
@@ -1207,7 +1128,7 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
         reuse,
     } = scr;
     let mut ctx = Ctx {
-        prefix: &prefix,
+        root,
         base: &mut task.bucket,
         own: std::mem::take(own_stack),
         log: &mut task.out_log,
@@ -1218,23 +1139,8 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
         alloc,
         reuse,
     };
-    if task.is_leaf {
-        if env.owned.contains(&task.range.start) {
-            let _obs = carve_obs::scope("leaf");
-            carve_obs::counter("leaves", 1);
-            carve_obs::counter("scalar_leaves", 1);
-            visitor.leaf(task.range.start, &task.oct, &mut ctx);
-        }
-    } else {
-        rec(
-            env,
-            task.oct,
-            task.st,
-            task.range.clone(),
-            &mut ctx,
-            visitor,
-        );
-    }
+    let range = task.range.clone();
+    rec(env, task.oct, task.st, range, &mut ctx, visitor);
     debug_assert!(ctx.own.is_empty());
     *own_stack = ctx.own;
 }
@@ -1404,60 +1310,44 @@ fn panel_run<const DIM: usize, V: LeafVisitor<DIM>>(
 
 // --- Join (ordered merge) -------------------------------------------------
 
-/// Replays each task's deferred ancestor writes and merges bucket `vout`s
-/// up the spine, walking the spine tree in DFS (SFC) order so every
-/// accumulation happens exactly where the sequential traversal would have
-/// performed it. Only meaningful for the matvec path (`carry_values`).
-fn join_spine<const DIM: usize>(plan: &mut SpinePlan<DIM>) {
-    if !plan.interior.is_empty() {
-        join_rec(plan, 0);
-    }
-}
-
-fn join_rec<const DIM: usize>(plan: &mut SpinePlan<DIM>, node: u32) {
-    let kids = std::mem::take(&mut plan.interior[node as usize].kids);
-    for k in &kids {
-        match *k {
-            SpineChild::Task(ti) => {
+/// Replays each task's deferred root writes and merges its bucket's `vout`
+/// into the root, in SFC task order — exactly where the sequential
+/// traversal would have performed each accumulation — then adds the root's
+/// `vout` into `y`. Only meaningful for the matvec path (`carry_values`).
+fn finish_matvec<const DIM: usize>(plan: &mut TaskPlan<DIM>, y: &mut [f64]) {
+    let TaskPlan { root, tasks } = plan;
+    let root_vout = match root {
+        None => &tasks[0].bucket.vout,
+        Some(root) => {
+            for t in tasks.iter_mut() {
                 let _obs = carve_obs::scope("bottom_up");
-                let SpinePlan { interior, tasks } = plan;
-                let t = &mut tasks[ti as usize];
-                for &(d, slot, val) in t.out_log.iter() {
-                    let anc = t.ancestors[d as usize] as usize;
-                    interior[anc].bucket.vout[slot as usize] += val;
+                for &(_, slot, val) in t.out_log.iter() {
+                    root.vout[slot as usize] += val;
                 }
                 t.out_log.clear();
-                let pb = &mut interior[node as usize].bucket;
                 for (i, &ps) in t.bucket.parent_slot.iter().enumerate() {
-                    pb.vout[ps as usize] += t.bucket.vout[i];
+                    root.vout[ps as usize] += t.bucket.vout[i];
                 }
             }
-            SpineChild::Interior(ci) => {
-                join_rec(plan, ci);
-                let _obs = carve_obs::scope("bottom_up");
-                let b = std::mem::take(&mut plan.interior[ci as usize].bucket);
-                let pb = &mut plan.interior[node as usize].bucket;
-                for (i, &ps) in b.parent_slot.iter().enumerate() {
-                    pb.vout[ps as usize] += b.vout[i];
-                }
-                plan.interior[ci as usize].bucket = b;
-            }
+            &root.vout
         }
+    };
+    for (yi, vo) in y.iter_mut().zip(root_vout) {
+        *yi += vo;
     }
-    plan.interior[node as usize].kids = kids;
 }
 
 // --- Leaf visitors --------------------------------------------------------
 
-struct MatvecVisitor<'k, const DIM: usize, K> {
-    kernel: &'k mut K,
-    plan: &'k LeafPlan,
+struct MatvecVisitor<'p, K> {
+    kernel: K,
+    plan: &'p LeafPlan,
     in_vals: Vec<f64>,
     out_vals: Vec<f64>,
 }
 
-impl<'k, const DIM: usize, K> MatvecVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, plan: &'k LeafPlan) -> Self {
+impl<'p, K> MatvecVisitor<'p, K> {
+    fn new(kernel: K, plan: &'p LeafPlan) -> Self {
         Self {
             kernel,
             plan,
@@ -1470,7 +1360,7 @@ impl<'k, const DIM: usize, K> MatvecVisitor<'k, DIM, K> {
 /// Sentinel for "lattice slot not in the leaf bucket" (hanging node).
 const NO_SLOT: u32 = u32::MAX;
 
-impl<const DIM: usize, K> LeafVisitor<DIM> for MatvecVisitor<'_, DIM, K>
+impl<const DIM: usize, K> LeafVisitor<DIM> for MatvecVisitor<'_, K>
 where
     K: LeafKernel<DIM>,
 {
@@ -1547,8 +1437,8 @@ where
     }
 }
 
-struct AssemblyVisitor<'k, const DIM: usize, K> {
-    kernel: &'k mut K,
+struct AssemblyVisitor<const DIM: usize, K> {
+    kernel: K,
     p: u64,
     npe: usize,
     /// Emit only `row == col` products ([`AssemblySink::DIAGONAL_ONLY`]).
@@ -1559,8 +1449,8 @@ struct AssemblyVisitor<'k, const DIM: usize, K> {
     srcs: Vec<([u64; DIM], f64)>,
 }
 
-impl<'k, const DIM: usize, K> AssemblyVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, p: u64, diagonal_only: bool) -> Self {
+impl<const DIM: usize, K> AssemblyVisitor<DIM, K> {
+    fn new(kernel: K, p: u64, diagonal_only: bool) -> Self {
         let npe = nodes_per_elem::<DIM>(p);
         Self {
             kernel,
@@ -1608,7 +1498,7 @@ fn emit_triplets(
     }
 }
 
-impl<const DIM: usize, K> AssemblyVisitor<'_, DIM, K>
+impl<const DIM: usize, K> AssemblyVisitor<DIM, K>
 where
     K: AssemblyKernel<DIM>,
 {
@@ -1667,7 +1557,7 @@ where
     }
 }
 
-impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<'_, DIM, K>
+impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<DIM, K>
 where
     K: AssemblyKernel<DIM>,
 {
@@ -1713,86 +1603,101 @@ where
     }
 }
 
-// --- Public entry points: MATVEC ------------------------------------------
+// --- Fork-join runner ------------------------------------------------------
+
+/// Runs `tasks` (SFC order) below the shared `root` bucket: inline when the
+/// thread budget gives one worker, otherwise in SFC-contiguous chunks on
+/// scoped workers, each with its own visitor from `make_visitor` and its own
+/// workspace scratch. Workers record detached and are re-absorbed into the
+/// calling thread's open scope. `during` runs on the calling thread while
+/// the workers run (after the inline pass when there are none): the
+/// communicator is single-threaded, so the overlapped matvec waits for its
+/// ghost exchange there. `after` sees every task in SFC order — right after
+/// it runs on the inline path, after the join on the threaded one. Returns
+/// the number of workers used.
+#[allow(clippy::too_many_arguments)]
+fn fork_join<const DIM: usize, T, V, M>(
+    env: &Env<'_, DIM>,
+    root: Option<&Bucket<DIM>>,
+    tasks: &mut [T],
+    threads: usize,
+    scratch: &mut Vec<WorkerScratch<DIM>>,
+    make_visitor: &M,
+    during: impl FnOnce(),
+    mut after: impl FnMut(&mut Task<DIM>),
+) -> usize
+where
+    T: BorrowMut<Task<DIM>> + Send,
+    V: LeafVisitor<DIM>,
+    M: Fn() -> V + Sync,
+{
+    let (chunk, n_workers) = chunking(tasks.len(), threads);
+    if scratch.len() < n_workers {
+        scratch.resize_with(n_workers, WorkerScratch::default);
+    }
+    if n_workers <= 1 {
+        if !tasks.is_empty() {
+            let mut vis = make_visitor();
+            for t in tasks.iter_mut() {
+                run_task(env, t.borrow_mut(), root, &mut scratch[0], &mut vis);
+                after(t.borrow_mut());
+            }
+        }
+        during();
+        return 1;
+    }
+    let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
+        let handles: Vec<_> = tasks
+            .chunks_mut(chunk)
+            .zip(scratch.iter_mut())
+            .map(|(tchunk, scr)| {
+                s.spawn(move || {
+                    carve_obs::detach_thread();
+                    let mut vis = make_visitor();
+                    for t in tchunk.iter_mut() {
+                        run_task(env, t.borrow_mut(), root, scr, &mut vis);
+                    }
+                    carve_obs::thread_snapshot()
+                })
+            })
+            .collect();
+        during();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    for snap in &snaps {
+        carve_obs::absorb_rebased(snap);
+    }
+    for t in tasks.iter_mut() {
+        after(t.borrow_mut());
+    }
+    n_workers
+}
+
+/// Contiguous chunk size and worker count for `n_tasks` under `budget`.
+fn chunking(n_tasks: usize, budget: usize) -> (usize, usize) {
+    let workers = par::worker_count(n_tasks, budget);
+    let chunk = n_tasks.div_ceil(workers).max(1);
+    (chunk, n_tasks.div_ceil(chunk).max(1))
+}
+
+// --- Public entry points ----------------------------------------------------
 
 /// Applies the global operator `y += A x` matrix-free via octree traversal.
 ///
 /// * `elems` — SFC-sorted leaf elements (owned + ghost in the distributed
 ///   case); `owned` restricts which leaves apply their elemental kernel.
-/// * `kernel(e, u_e, v_e)` — the elemental operator (`v_e = K_e u_e`).
+/// * `make_kernel()` — builds the elemental operator (`v_e = K_e u_e`),
+///   once per worker.
 ///
-/// Convenience wrapper over [`traversal_matvec_ws`] with a throwaway
-/// workspace; hot loops (Krylov iterations) should hold a
-/// [`TraversalWorkspace`] and call the `_ws` / `_par` variants.
-pub fn traversal_matvec<const DIM: usize, K>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    x: &[f64],
-    y: &mut [f64],
-    kernel: &mut K,
-) where
-    K: LeafKernel<DIM>,
-{
-    let mut ws = TraversalWorkspace::with_threads(1);
-    traversal_matvec_ws(elems, owned, curve, nodes, x, y, &mut ws, kernel);
-}
-
-/// Sequential matvec reusing `ws`'s bucket arena across calls. Output is
-/// bitwise identical to [`traversal_matvec_par`] at any thread count.
+/// Subtree tasks are partitioned SFC-contiguously across up to
+/// `ws.threads()` scoped workers. Deferred root writes replay in SFC order
+/// at join, so the output is **bitwise identical for any thread count**.
+/// Hot loops (Krylov iterations) reuse one `ws` across calls.
 #[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_ws<const DIM: usize, K>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    x: &[f64],
-    y: &mut [f64],
-    ws: &mut TraversalWorkspace<DIM>,
-    kernel: &mut K,
-) where
-    K: LeafKernel<DIM>,
-{
-    assert_eq!(x.len(), nodes.len());
-    assert_eq!(y.len(), nodes.len());
-    if elems.is_empty() || owned.is_empty() {
-        return;
-    }
-    let _obs = carve_obs::scope("matvec");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
-    let lp = leaf_plan(&env, nodes);
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, x), ws);
-    carve_obs::counter("par_workers", 1);
-    ws.ensure_scratch(1);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, &lp);
-        for t in tasks.iter_mut() {
-            run_task(&env, t, interior, scr, &mut vis);
-        }
-    }
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Fork-join matvec: subtree tasks are partitioned SFC-contiguously across
-/// up to `ws.threads()` scoped workers, each building its kernel from
-/// `make_kernel`. Deferred ancestor writes replay in SFC order at join, so
-/// the output is **bitwise identical for any thread count** (and equal to
-/// the sequential variants).
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_par<const DIM: usize, K, F>(
+pub fn traversal_matvec<const DIM: usize, K, F>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
@@ -1811,56 +1716,21 @@ pub fn traversal_matvec_par<const DIM: usize, K, F>(
         return;
     }
     let _obs = carve_obs::scope("matvec");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
+    let env = Env::new(elems, owned, curve, nodes, true, ws.batch_width);
     let lp = leaf_plan(&env, nodes);
-    let lp = &*lp;
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, x), ws);
-    let (chunk, n_workers) = chunking(plan.tasks.len(), ws.threads);
-    carve_obs::counter("par_workers", n_workers as u64);
-    ws.ensure_scratch(n_workers);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        if n_workers <= 1 {
-            let scr = &mut ws.scratch[0];
-            let mut kernel = make_kernel();
-            let mut vis = MatvecVisitor::new(&mut kernel, lp);
-            for t in tasks.iter_mut() {
-                run_task(&env, t, interior, scr, &mut vis);
-            }
-        } else {
-            let env = &env;
-            let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                let handles: Vec<_> = tasks
-                    .chunks_mut(chunk)
-                    .zip(ws.scratch.iter_mut())
-                    .map(|(tchunk, scr)| {
-                        s.spawn(move || {
-                            carve_obs::detach_thread();
-                            let mut kernel = make_kernel();
-                            let mut vis = MatvecVisitor::new(&mut kernel, lp);
-                            for t in tchunk.iter_mut() {
-                                run_task(env, t, interior, scr, &mut vis);
-                            }
-                            carve_obs::thread_snapshot()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(join_worker).collect()
-            });
-            for snap in &snaps {
-                carve_obs::absorb_rebased(snap);
-            }
-        }
-    }
+    let mut plan = split_root(&env, matvec_root(ws, nodes, x), ws);
+    let TaskPlan { root, tasks } = &mut plan;
+    let workers = fork_join(
+        &env,
+        root.as_ref(),
+        tasks,
+        ws.threads,
+        &mut ws.scratch,
+        &|| MatvecVisitor::new(make_kernel(), &lp),
+        || {},
+        |_| {},
+    );
+    carve_obs::counter("par_workers", workers as u64);
     finish_matvec(&mut plan, y);
     ws.release_plan(plan);
     ws.emit_arena_counters();
@@ -1879,147 +1749,43 @@ fn task_touches_ghosts<const DIM: usize>(
     lo < hi && boundary_elem[lo..hi].iter().any(|&b| b)
 }
 
-/// Re-seeds the input values (`vin`) of the spine buckets and the flagged
-/// boundary-task base buckets from the now-complete ghosted vector `xg`,
-/// walking the spine in pre-order (parents precede children by
-/// construction). Only `vin` is touched: interior tasks have already run
-/// and their pending output lives in `vout`s and scatter logs, which this
-/// pass never reads or writes — so the subsequent boundary sweep + ordered
-/// join reproduce the sequential result bit for bit.
-fn refresh_vin<const DIM: usize>(plan: &mut SpinePlan<DIM>, xg: &[f64], flags: &[bool]) {
-    if plan.interior.is_empty() {
+/// Re-seeds the input values (`vin`) of the root bucket and the flagged
+/// boundary-task buckets from the now-complete ghosted vector `xg`. Only
+/// `vin` is touched: interior tasks have already run and their pending
+/// output lives in `vout`s and scatter logs, which this pass never reads or
+/// writes — so the subsequent boundary sweep + ordered join reproduce the
+/// sequential result bit for bit.
+fn refresh_vin<const DIM: usize>(plan: &mut TaskPlan<DIM>, xg: &[f64], flags: &[bool]) {
+    let Some(root) = &mut plan.root else {
         // Degenerate single-root-element plan: the lone task IS the root
         // bucket, seeded directly from the input vector.
         if flags[0] {
             plan.tasks[0].bucket.vin.copy_from_slice(xg);
         }
         return;
-    }
-    plan.interior[0].bucket.vin.copy_from_slice(xg);
-    for node in 0..plan.interior.len() {
-        let kids = std::mem::take(&mut plan.interior[node].kids);
-        for k in &kids {
-            match *k {
-                SpineChild::Interior(ci) => {
-                    let mut b = std::mem::take(&mut plan.interior[ci as usize].bucket);
-                    let pb = &plan.interior[node].bucket;
-                    for (i, &ps) in b.parent_slot.iter().enumerate() {
-                        b.vin[i] = pb.vin[ps as usize];
-                    }
-                    plan.interior[ci as usize].bucket = b;
-                }
-                SpineChild::Task(ti) => {
-                    if !flags[ti as usize] {
-                        continue;
-                    }
-                    let SpinePlan { interior, tasks } = plan;
-                    let t = &mut tasks[ti as usize];
-                    let pb = &interior[node].bucket;
-                    for (i, &ps) in t.bucket.parent_slot.iter().enumerate() {
-                        t.bucket.vin[i] = pb.vin[ps as usize];
-                    }
-                }
-            }
+    };
+    root.vin.copy_from_slice(xg);
+    for (t, _) in plan.tasks.iter_mut().zip(flags).filter(|(_, &f)| f) {
+        for (i, &ps) in t.bucket.parent_slot.iter().enumerate() {
+            t.bucket.vin[i] = root.vin[ps as usize];
         }
-        plan.interior[node].kids = kids;
     }
 }
 
-/// Sequential overlapped-exchange matvec (§3.5). The caller has already
-/// *posted* the nonblocking ghost-read of `xg`'s owned entries; this
-/// traversal runs every interior task (owned elements whose stencil closure
-/// is rank-local) against the stale vector, then calls `wait` — under a
-/// `ghost_wait` sub-phase — to complete the exchange into `xg`, re-seeds
-/// the spine and boundary-task `vin`s (`refresh_vin`), and only then
-/// runs the boundary tasks. The ordered join is unchanged, so the result
-/// is bitwise identical to [`traversal_matvec_ws`] on the post-exchange
-/// vector.
+/// Overlapped-exchange matvec (§3.5). The caller has already *posted* the
+/// nonblocking ghost-read of `xg`'s owned entries; this traversal runs
+/// every interior task (owned elements whose stencil closure is
+/// rank-local) against the stale vector on the fork-join workers *while the
+/// calling thread completes the exchange into `xg`* by calling `wait` under
+/// a `ghost_wait` sub-phase. It then re-seeds the root and boundary-task
+/// `vin`s (`refresh_vin`) and only then runs the boundary tasks. The
+/// ordered join is unchanged, so the result is bitwise identical to
+/// [`traversal_matvec`] on the post-exchange vector, at any thread count.
 ///
 /// `wait` is invoked exactly once on every path, including empty-owned
 /// ranks — it carries the exchange's collective tag discipline.
 #[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_overlap_ws<const DIM: usize, K, W>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    xg: &mut [f64],
-    y: &mut [f64],
-    ws: &mut TraversalWorkspace<DIM>,
-    boundary_elem: &[bool],
-    wait: W,
-    kernel: &mut K,
-) where
-    K: LeafKernel<DIM>,
-    W: FnOnce(&mut [f64]),
-{
-    assert_eq!(xg.len(), nodes.len());
-    assert_eq!(y.len(), nodes.len());
-    assert_eq!(boundary_elem.len(), elems.len());
-    let _obs = carve_obs::scope("matvec");
-    if elems.is_empty() || owned.is_empty() {
-        let _w = carve_obs::scope("ghost_wait");
-        wait(xg);
-        return;
-    }
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
-    let lp = leaf_plan(&env, nodes);
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, xg), ws);
-    let mut flags = std::mem::take(&mut ws.task_flags);
-    flags.clear();
-    flags.extend(
-        plan.tasks
-            .iter()
-            .map(|t| task_touches_ghosts(t, &env.owned, boundary_elem)),
-    );
-    carve_obs::counter("par_workers", 1);
-    ws.ensure_scratch(1);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, &lp);
-        for (t, _) in tasks.iter_mut().zip(&flags).filter(|(_, b)| !**b) {
-            run_task(&env, t, interior, scr, &mut vis);
-        }
-    }
-    {
-        let _w = carve_obs::scope("ghost_wait");
-        wait(xg);
-    }
-    refresh_vin(&mut plan, xg, &flags);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, &lp);
-        for (t, _) in tasks.iter_mut().zip(&flags).filter(|(_, b)| **b) {
-            run_task(&env, t, interior, scr, &mut vis);
-        }
-    }
-    ws.task_flags = flags;
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Fork-join overlapped-exchange matvec: like
-/// [`traversal_matvec_overlap_ws`], but the interior tasks run on scoped
-/// workers *while the main thread blocks on the ghost exchange* (the
-/// communicator is single-threaded by design, so the wait stays on the
-/// spawning thread — which is exactly what gives the overlap), and the
-/// boundary tasks fork again after the refresh. Bitwise identical to every
-/// other matvec variant at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
+pub(crate) fn traversal_matvec_overlap<const DIM: usize, K, F, W>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
@@ -2039,23 +1805,17 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
     assert_eq!(y.len(), nodes.len());
     assert_eq!(boundary_elem.len(), elems.len());
     let _obs = carve_obs::scope("matvec");
-    if elems.is_empty() || owned.is_empty() {
+    let ghost_wait = |xg: &mut [f64]| {
         let _w = carve_obs::scope("ghost_wait");
         wait(xg);
+    };
+    if elems.is_empty() || owned.is_empty() {
+        ghost_wait(xg);
         return;
     }
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
+    let env = Env::new(elems, owned, curve, nodes, true, ws.batch_width);
     let lp = leaf_plan(&env, nodes);
-    let lp = &*lp;
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, xg), ws);
+    let mut plan = split_root(&env, matvec_root(ws, nodes, xg), ws);
     let mut flags = std::mem::take(&mut ws.task_flags);
     flags.clear();
     flags.extend(
@@ -2063,110 +1823,45 @@ pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
             .iter()
             .map(|t| task_touches_ghosts(t, &env.owned, boundary_elem)),
     );
-    let n_interior = flags.iter().filter(|&&b| !b).count();
-    let n_boundary = flags.len() - n_interior;
-    let n_workers = chunking(n_interior.max(1), ws.threads)
-        .1
-        .max(chunking(n_boundary.max(1), ws.threads).1);
-    carve_obs::counter("par_workers", n_workers as u64);
-    ws.ensure_scratch(n_workers);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let mut intr: Vec<&mut Task<DIM>> = tasks
-            .iter_mut()
-            .zip(&flags)
-            .filter(|(_, b)| !**b)
-            .map(|(t, _)| t)
-            .collect();
-        let (chunk, nw) = chunking(intr.len(), ws.threads);
-        if intr.is_empty() || nw <= 1 {
-            if !intr.is_empty() {
-                let scr = &mut ws.scratch[0];
-                let mut kernel = make_kernel();
-                let mut vis = MatvecVisitor::new(&mut kernel, lp);
-                for t in intr.iter_mut() {
-                    run_task(&env, t, interior, scr, &mut vis);
-                }
-            }
-            let _w = carve_obs::scope("ghost_wait");
-            wait(xg);
-        } else {
-            let env = &env;
-            let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                let handles: Vec<_> = intr
-                    .chunks_mut(chunk)
-                    .zip(ws.scratch.iter_mut())
-                    .map(|(tchunk, scr)| {
-                        s.spawn(move || {
-                            carve_obs::detach_thread();
-                            let mut kernel = make_kernel();
-                            let mut vis = MatvecVisitor::new(&mut kernel, lp);
-                            for t in tchunk.iter_mut() {
-                                run_task(env, t, interior, scr, &mut vis);
-                            }
-                            carve_obs::thread_snapshot()
-                        })
-                    })
-                    .collect();
-                // The workers chew on interior subtrees while this thread
-                // blocks on the ghost payloads: this is the overlap window.
-                {
-                    let _w = carve_obs::scope("ghost_wait");
-                    wait(xg);
-                }
-                handles.into_iter().map(join_worker).collect()
-            });
-            for snap in &snaps {
-                carve_obs::absorb_rebased(snap);
-            }
-        }
-    }
+    let make_visitor = || MatvecVisitor::new(make_kernel(), &lp);
+    // Phase A: interior tasks, overlapping the exchange.
+    let TaskPlan { root, tasks } = &mut plan;
+    let mut pass: Vec<&mut Task<DIM>> = tasks
+        .iter_mut()
+        .zip(&flags)
+        .filter_map(|(t, &b)| (!b).then_some(t))
+        .collect();
+    let workers_a = fork_join(
+        &env,
+        root.as_ref(),
+        &mut pass,
+        ws.threads,
+        &mut ws.scratch,
+        &make_visitor,
+        || ghost_wait(&mut *xg),
+        |_| {},
+    );
+    drop(pass);
     refresh_vin(&mut plan, xg, &flags);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let mut bnd: Vec<&mut Task<DIM>> = tasks
-            .iter_mut()
-            .zip(&flags)
-            .filter(|(_, b)| **b)
-            .map(|(t, _)| t)
-            .collect();
-        let (chunk, nw) = chunking(bnd.len(), ws.threads);
-        if !bnd.is_empty() {
-            if nw <= 1 {
-                let scr = &mut ws.scratch[0];
-                let mut kernel = make_kernel();
-                let mut vis = MatvecVisitor::new(&mut kernel, lp);
-                for t in bnd.iter_mut() {
-                    run_task(&env, t, interior, scr, &mut vis);
-                }
-            } else {
-                let env = &env;
-                let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                    let handles: Vec<_> = bnd
-                        .chunks_mut(chunk)
-                        .zip(ws.scratch.iter_mut())
-                        .map(|(tchunk, scr)| {
-                            s.spawn(move || {
-                                carve_obs::detach_thread();
-                                let mut kernel = make_kernel();
-                                let mut vis = MatvecVisitor::new(&mut kernel, lp);
-                                for t in tchunk.iter_mut() {
-                                    run_task(env, t, interior, scr, &mut vis);
-                                }
-                                carve_obs::thread_snapshot()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(join_worker).collect()
-                });
-                for snap in &snaps {
-                    carve_obs::absorb_rebased(snap);
-                }
-            }
-        }
-    }
+    // Phase B: boundary tasks, against the refreshed input.
+    let TaskPlan { root, tasks } = &mut plan;
+    let mut pass: Vec<&mut Task<DIM>> = tasks
+        .iter_mut()
+        .zip(&flags)
+        .filter_map(|(t, &b)| b.then_some(t))
+        .collect();
+    let workers_b = fork_join(
+        &env,
+        root.as_ref(),
+        &mut pass,
+        ws.threads,
+        &mut ws.scratch,
+        &make_visitor,
+        || {},
+        |_| {},
+    );
+    drop(pass);
+    carve_obs::counter("par_workers", workers_a.max(workers_b) as u64);
     ws.task_flags = flags;
     finish_matvec(&mut plan, y);
     ws.release_plan(plan);
@@ -2186,117 +1881,19 @@ fn matvec_root<const DIM: usize>(
     root
 }
 
-/// Contiguous chunk size and worker count for `n_tasks` under `budget`.
-fn chunking(n_tasks: usize, budget: usize) -> (usize, usize) {
-    let workers = par::worker_count(n_tasks, budget);
-    let chunk = n_tasks.div_ceil(workers).max(1);
-    (chunk, n_tasks.div_ceil(chunk).max(1))
-}
-
-fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match h.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-fn finish_matvec<const DIM: usize>(plan: &mut SpinePlan<DIM>, y: &mut [f64]) {
-    join_spine(plan);
-    let root_vout = if plan.interior.is_empty() {
-        &plan.tasks[0].bucket.vout
-    } else {
-        &plan.interior[0].bucket.vout
-    };
-    for (yi, vo) in y.iter_mut().zip(root_vout) {
-        *yi += vo;
-    }
-}
-
-// --- Public entry points: assembly ----------------------------------------
-
 /// Assembles the global sparse matrix via octree traversal (§3.6): node
 /// *ids* are bucketed instead of values; at each leaf the elemental matrix
-/// entries are emitted with global indices into `sink` (duplicates merge by
-/// addition, the PETSc `ADD_VALUES` contract). A [`CooBuilder`] sink gets
-/// the whole matrix, a `Vec<f64>` sink only its diagonal. No bottom-up
-/// phase.
+/// entries from `make_kernel()` (built once per worker) are emitted with
+/// global indices into `sink` (duplicates merge by addition, the PETSc
+/// `ADD_VALUES` contract). A [`CooBuilder`] sink gets the whole matrix, a
+/// `Vec<f64>` sink only its diagonal. No bottom-up phase.
 ///
-/// Convenience wrapper over [`traversal_assemble_ws`].
-pub fn traversal_assemble<const DIM: usize, K, S>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    global_ids: &[u32],
-    sink: &mut S,
-    kernel: &mut K,
-) where
-    K: AssemblyKernel<DIM>,
-    S: AssemblySink,
-{
-    let mut ws = TraversalWorkspace::with_threads(1);
-    traversal_assemble_ws(
-        elems, owned, curve, nodes, global_ids, sink, &mut ws, kernel,
-    );
-}
-
-/// Sequential assembly reusing `ws`'s arena.
+/// Per-task entry buffers drain into `sink` in SFC task order — each right
+/// after its task on the inline path, all after the join on the threaded
+/// one — so the sink sees one entry sequence, and a built CSR or
+/// accumulated diagonal is bitwise identical, for any thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn traversal_assemble_ws<const DIM: usize, K, S>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    global_ids: &[u32],
-    sink: &mut S,
-    ws: &mut TraversalWorkspace<DIM>,
-    kernel: &mut K,
-) where
-    K: AssemblyKernel<DIM>,
-    S: AssemblySink,
-{
-    assert_eq!(global_ids.len(), nodes.len());
-    if elems.is_empty() || owned.is_empty() {
-        return;
-    }
-    let _obs = carve_obs::scope("assemble");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: false,
-        carry_ids: true,
-        batch: ws.batch_width,
-    };
-    let npe = nodes_per_elem::<DIM>(env.p);
-    let mut plan = build_spine(
-        &env,
-        ws.split_depth,
-        assemble_root(ws, nodes, global_ids),
-        ws,
-    );
-    carve_obs::counter("par_workers", 1);
-    ws.ensure_scratch(1);
-    reserve_entries(&env, npe, sink);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let scr = &mut ws.scratch[0];
-        let mut vis = AssemblyVisitor::new(kernel, env.p, S::DIAGONAL_ONLY);
-        for t in tasks.iter_mut() {
-            run_task(&env, t, interior, scr, &mut vis);
-            drain_log(&mut t.out_log, sink);
-        }
-    }
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Fork-join assembly; per-task entry buffers drain into `sink` in SFC
-/// task order, so the sink sees one entry sequence — and a built CSR or
-/// accumulated diagonal is bitwise identical — for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_assemble_par<const DIM: usize, K, F, S>(
+pub fn traversal_assemble<const DIM: usize, K, F, S>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
@@ -2315,105 +1912,38 @@ pub fn traversal_assemble_par<const DIM: usize, K, F, S>(
         return;
     }
     let _obs = carve_obs::scope("assemble");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: false,
-        carry_ids: true,
-        batch: ws.batch_width,
-    };
+    let env = Env::new(elems, owned, curve, nodes, false, ws.batch_width);
     let npe = nodes_per_elem::<DIM>(env.p);
-    let mut plan = build_spine(
-        &env,
-        ws.split_depth,
-        assemble_root(ws, nodes, global_ids),
-        ws,
-    );
-    let (chunk, n_workers) = chunking(plan.tasks.len(), ws.threads);
-    carve_obs::counter("par_workers", n_workers as u64);
-    ws.ensure_scratch(n_workers);
-    reserve_entries(&env, npe, sink);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        if n_workers <= 1 {
-            let scr = &mut ws.scratch[0];
-            let mut kernel = make_kernel();
-            let mut vis = AssemblyVisitor::new(&mut kernel, env.p, S::DIAGONAL_ONLY);
-            for t in tasks.iter_mut() {
-                run_task(&env, t, interior, scr, &mut vis);
-                drain_log(&mut t.out_log, sink);
-            }
-        } else {
-            let env = &env;
-            let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                let handles: Vec<_> = tasks
-                    .chunks_mut(chunk)
-                    .zip(ws.scratch.iter_mut())
-                    .map(|(tchunk, scr)| {
-                        s.spawn(move || {
-                            carve_obs::detach_thread();
-                            let mut kernel = make_kernel();
-                            let mut vis =
-                                AssemblyVisitor::new(&mut kernel, env.p, S::DIAGONAL_ONLY);
-                            for t in tchunk.iter_mut() {
-                                run_task(env, t, interior, scr, &mut vis);
-                            }
-                            carve_obs::thread_snapshot()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(join_worker).collect()
-            });
-            for snap in &snaps {
-                carve_obs::absorb_rebased(snap);
-            }
-            for t in tasks.iter_mut() {
-                drain_log(&mut t.out_log, sink);
-            }
-        }
-    }
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Seeds the root bucket (full node set + global ids) from the arena.
-fn assemble_root<const DIM: usize>(
-    ws: &mut TraversalWorkspace<DIM>,
-    nodes: &NodeSet<DIM>,
-    global_ids: &[u32],
-) -> Bucket<DIM> {
     let mut root = ws.acquire_bucket();
     root.coords.extend_from_slice(&nodes.coords);
     root.ids.extend_from_slice(global_ids);
-    root
-}
-
-/// Capacity hint for the assembled triplet stream: `owned leaves × npe²`.
-fn reserve_entries<const DIM: usize, S: AssemblySink>(
-    env: &Env<'_, DIM>,
-    npe: usize,
-    sink: &mut S,
-) {
+    let mut plan = split_root(&env, root, ws);
+    // Capacity hint for the triplet stream: `owned leaves × npe²`.
     let owned_leaves = env
         .owned
         .end
-        .min(env.elems.len())
+        .min(elems.len())
         .saturating_sub(env.owned.start);
     sink.reserve(owned_leaves * npe * npe);
-}
-
-/// Moves one task's entry buffer into the sink. Sequential paths call
-/// this right after the task runs, while its log is still cache-hot; the
-/// threaded path drains all logs afterwards in SFC task order. Either way
-/// the sink sees the identical entry sequence.
-fn drain_log<S: AssemblySink>(log: &mut OutLog, sink: &mut S) {
-    for &(ri, cj, v) in log.iter() {
-        sink.add(ri, cj, v);
-    }
-    log.clear();
+    let TaskPlan { root, tasks } = &mut plan;
+    let workers = fork_join(
+        &env,
+        root.as_ref(),
+        tasks,
+        ws.threads,
+        &mut ws.scratch,
+        &|| AssemblyVisitor::new(make_kernel(), env.p, S::DIAGONAL_ONLY),
+        || {},
+        |t| {
+            for &(ri, cj, v) in t.out_log.iter() {
+                sink.add(ri, cj, v);
+            }
+            t.out_log.clear();
+        },
+    );
+    carve_obs::counter("par_workers", workers as u64);
+    ws.release_plan(plan);
+    ws.emit_arena_counters();
 }
 
 #[cfg(test)]
@@ -2473,7 +2003,8 @@ mod tests {
             &nodes,
             &ids,
             &mut coo,
-            &mut toy_matrix::<DIM>(p),
+            &mut TraversalWorkspace::with_threads(1),
+            &|| toy_matrix::<DIM>(p),
         );
         let a = coo.build();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -2487,7 +2018,8 @@ mod tests {
                 &nodes,
                 &x,
                 &mut y_mf,
-                &mut toy_kernel::<DIM>(p),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_kernel::<DIM>(p),
             );
             let mut y_as = vec![0.0; n];
             a.matvec(&x, &mut y_as);
@@ -2547,7 +2079,7 @@ mod tests {
         // Kernel returning the input (identity on elemental nodes): the
         // output at each node is then Σ_elems (interp weights), and for a
         // constant input every elemental value must be exactly 1.
-        let mut probe = |_e: &Octant<2>, u: &[f64], v: &mut [f64]| {
+        let probe = |_e: &Octant<2>, u: &[f64], v: &mut [f64]| {
             for ui in u {
                 assert!((ui - 1.0).abs() < 1e-13, "hanging interp broke constants");
             }
@@ -2560,7 +2092,8 @@ mod tests {
             &nodes,
             &ones,
             &mut y,
-            &mut probe,
+            &mut TraversalWorkspace::with_threads(1),
+            &|| probe,
         );
     }
 
@@ -2587,7 +2120,8 @@ mod tests {
                 &nodes,
                 &x,
                 &mut y_parts,
-                &mut toy_kernel::<2>(2),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_kernel::<2>(2),
             );
         }
         let mut y_full = vec![0.0; n];
@@ -2598,7 +2132,8 @@ mod tests {
             &nodes,
             &x,
             &mut y_full,
-            &mut toy_kernel::<2>(2),
+            &mut TraversalWorkspace::with_threads(1),
+            &|| toy_kernel::<2>(2),
         );
         for (a, b) in y_full.iter().zip(&y_parts) {
             assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));
@@ -2621,7 +2156,8 @@ mod tests {
             &nodes,
             &x,
             &mut y,
-            &mut toy_kernel::<2>(1),
+            &mut TraversalWorkspace::with_threads(1),
+            &|| toy_kernel::<2>(1),
         );
         let d = carve_obs::thread_snapshot().diff(&before);
         let leaf = &d.phases["matvec/leaf"];
@@ -2641,12 +2177,109 @@ mod tests {
         assert!(d.phases.contains_key("matvec/bottom_up"));
     }
 
+    /// The overlap contract: `wait` runs exactly once on every path, and the
+    /// output equals the plain traversal on the post-exchange vector — for
+    /// an empty owned range and for all-interior, all-boundary and mixed
+    /// task splits, inline and fork-joined.
+    #[test]
+    fn overlap_waits_once_and_matches_plain_matvec() {
+        let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+        let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
+        let elems = construct_balanced(&domain, Curve::Hilbert, &t);
+        let p = 2u64;
+        let nodes = enumerate_nodes(&domain, &elems, p);
+        let n = nodes.len();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        // The engine's tasks are the root's children: the mixed case flags
+        // every element of the last one as boundary.
+        let last = elems[elems.len() - 1].ancestor_at(1);
+        let mixed: Vec<bool> = elems.iter().map(|e| e.ancestor_at(1) == last).collect();
+        assert!(mixed.contains(&true) && mixed.contains(&false));
+        let all = 0..elems.len();
+        let cases = [
+            ("empty", 0..0, vec![false; elems.len()]),
+            ("interior", all.clone(), vec![false; elems.len()]),
+            ("boundary", all.clone(), vec![true; elems.len()]),
+            ("mixed", all, mixed),
+        ];
+        for (case, owned, boundary) in cases {
+            let mut y_ref = vec![0.0; n];
+            traversal_matvec(
+                &elems,
+                owned.clone(),
+                Curve::Hilbert,
+                &nodes,
+                &x,
+                &mut y_ref,
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_kernel::<2>(p),
+            );
+            // Before the exchange lands, every node outside the interior
+            // tasks' closed regions is stale (NaN): reading one before
+            // `wait` would poison the output.
+            let interior: Vec<Octant<2>> = elems
+                .iter()
+                .zip(&boundary)
+                .filter(|(_, &b)| !b)
+                .map(|(e, _)| e.ancestor_at(1))
+                .collect();
+            let in_closure = |o: &Octant<2>, c: &[u64; 2]| {
+                let side = o.side() as u64 * p;
+                o.anchor.iter().zip(c).all(|(&a, &ck)| {
+                    let a = a as u64 * p;
+                    a <= ck && ck <= a + side
+                })
+            };
+            let stale: Vec<f64> = nodes
+                .coords
+                .iter()
+                .zip(&x)
+                .map(|(c, &v)| {
+                    if interior.iter().any(|o| in_closure(o, c)) {
+                        v
+                    } else {
+                        f64::NAN
+                    }
+                })
+                .collect();
+            for threads in [1usize, 4] {
+                let waits = std::cell::Cell::new(0);
+                let mut xg = stale.clone();
+                let mut y = vec![0.0; n];
+                traversal_matvec_overlap(
+                    &elems,
+                    owned.clone(),
+                    Curve::Hilbert,
+                    &nodes,
+                    &mut xg,
+                    &mut y,
+                    &mut TraversalWorkspace::with_threads(threads),
+                    &boundary,
+                    |v: &mut [f64]| {
+                        waits.set(waits.get() + 1);
+                        v.copy_from_slice(&x);
+                    },
+                    &|| toy_kernel::<2>(p),
+                );
+                assert_eq!(waits.get(), 1, "case={case} threads={threads}");
+                for (i, (a, b)) in y_ref.iter().zip(&y).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "case={case} threads={threads} node {i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn matvec_bitwise_identical_across_thread_counts() {
         // The ISSUE's determinism property: an adaptive carved 3D mesh,
         // p ∈ {1, 2}, CARVE_PAR_THREADS ∈ {1, 2, 8} — outputs must agree
-        // bit for bit, with each other AND with the legacy sequential
-        // entry point, including on workspace reuse.
+        // bit for bit, with each other AND with a single-thread workspace,
+        // including on workspace reuse.
         let domain = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(&domain, Curve::Hilbert, &t);
@@ -2663,13 +2296,14 @@ mod tests {
                 &nodes,
                 &x,
                 &mut y_ref,
-                &mut toy_kernel::<3>(p),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_kernel::<3>(p),
             );
             for threads in [1usize, 2, 8] {
                 let mut ws = TraversalWorkspace::with_threads(threads);
                 for round in 0..2 {
                     let mut y = vec![0.0; n];
-                    traversal_matvec_par(
+                    traversal_matvec(
                         &elems,
                         0..elems.len(),
                         Curve::Hilbert,
@@ -2703,7 +2337,7 @@ mod tests {
         let build = |threads: usize| {
             let mut ws = TraversalWorkspace::with_threads(threads);
             let mut coo = CooBuilder::new(n);
-            traversal_assemble_par(
+            traversal_assemble(
                 &elems,
                 0..elems.len(),
                 Curve::Hilbert,
@@ -2817,14 +2451,15 @@ mod tests {
                 &nodes,
                 &x,
                 &mut y_ref,
-                &mut toy_kernel::<DIM>(p),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_kernel::<DIM>(p),
             );
             for threads in [1usize, 2, 8] {
                 for width in [1usize, 2, 3, 4, 8] {
                     let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
                     for round in 0..2 {
                         let mut y = vec![0.0; n];
-                        traversal_matvec_par(
+                        traversal_matvec(
                             &elems,
                             0..elems.len(),
                             Curve::Hilbert,
@@ -2877,14 +2512,15 @@ mod tests {
                 &nodes,
                 &ids,
                 &mut coo,
-                &mut toy_matrix::<2>(p),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_matrix::<2>(p),
             );
             let a_ref = coo.build();
             for threads in [1usize, 2, 8] {
                 for width in [1usize, 4, 8] {
                     let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
                     let mut coo = CooBuilder::new(n);
-                    traversal_assemble_par(
+                    traversal_assemble(
                         &elems,
                         0..elems.len(),
                         Curve::Hilbert,
@@ -2931,7 +2567,8 @@ mod tests {
                 &nodes,
                 &ids,
                 &mut coo,
-                &mut toy_matrix::<DIM>(p),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_matrix::<DIM>(p),
             );
             let oracle = coo.build().diagonal();
             let mut d_ref = vec![0.0; n];
@@ -2942,7 +2579,8 @@ mod tests {
                 &nodes,
                 &ids,
                 &mut d_ref,
-                &mut toy_matrix::<DIM>(p),
+                &mut TraversalWorkspace::with_threads(1),
+                &|| toy_matrix::<DIM>(p),
             );
             for (i, (d, o)) in d_ref.iter().zip(&oracle).enumerate() {
                 assert!(
@@ -2954,7 +2592,7 @@ mod tests {
                 for width in [1usize, 8] {
                     let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
                     let mut d = vec![0.0; n];
-                    traversal_assemble_par(
+                    traversal_assemble(
                         &elems,
                         0..elems.len(),
                         Curve::Hilbert,
@@ -3002,7 +2640,7 @@ mod tests {
             let mut ws = TraversalWorkspace::with_threads(1).with_batch_width(width);
             let before = carve_obs::thread_snapshot();
             let mut y = vec![0.0; n];
-            traversal_matvec_par(
+            traversal_matvec(
                 &elems,
                 0..elems.len(),
                 Curve::Hilbert,
@@ -3046,7 +2684,7 @@ mod tests {
             let run = |ws: &mut TraversalWorkspace<2>| {
                 let before = carve_obs::thread_snapshot();
                 let mut y = vec![0.0; n];
-                traversal_matvec_par(
+                traversal_matvec(
                     &elems,
                     0..elems.len(),
                     Curve::Hilbert,

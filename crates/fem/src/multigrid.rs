@@ -20,7 +20,7 @@
 
 use crate::poisson::{StiffnessKernel, StiffnessMatrixKernel};
 use carve_core::{
-    find_leaf, resolve_slot, traversal_assemble_ws, traversal_matvec_ws, Mesh, SlotRef,
+    find_leaf, resolve_slot, traversal_assemble, traversal_matvec, Mesh, SlotRef,
     TraversalWorkspace,
 };
 use carve_geom::Subdomain;
@@ -156,12 +156,11 @@ struct Level<const DIM: usize> {
 }
 
 /// Mutable solver state shared by the `&self` operator applications: the
-/// panel-capable stiffness kernel (tensor-apply scratch is `&mut`) and the
 /// traversal workspace. One lock per V-cycle smoother apply is noise next
-/// to the traversal itself, and it spares every apply a cache + bucket
-/// rebuild.
+/// to the traversal itself, and it spares every apply a bucket rebuild.
+/// Each apply builds its stiffness kernel afresh, which is cheap: the
+/// element cache reads the process-wide reference-operator memo.
 struct MgWork<const DIM: usize> {
-    kernel: StiffnessKernel<DIM>,
     ws: TraversalWorkspace<DIM>,
     /// Constrained-input scratch: `apply` masks Dirichlet entries of `x`
     /// before the traversal, and recycling this buffer keeps the smoother's
@@ -178,6 +177,9 @@ pub struct Multigrid<const DIM: usize> {
     pub nu_pre: usize,
     pub nu_post: usize,
     pub omega: f64,
+    /// Polynomial order and physical scale of the stiffness operator.
+    order: usize,
+    scale: f64,
     work: Mutex<MgWork<DIM>>,
 }
 
@@ -215,8 +217,8 @@ impl<const DIM: usize> Multigrid<DIM> {
                 break;
             }
         }
-        // Per-level stiffness matrices (h is a function of level only) shared
-        // by the diagonal pass and the coarse assembly below.
+        // Per-level stiffness matrices (h is a function of level only) for
+        // the diagonal pass.
         let mut mat_kernel = StiffnessMatrixKernel::<DIM>::new(order as usize, scale);
         let mut levels: Vec<Level<DIM>> = Vec::with_capacity(meshes.len());
         for (li, mesh) in meshes.into_iter().enumerate() {
@@ -272,7 +274,7 @@ impl<const DIM: usize> Multigrid<DIM> {
         let mut coo = CooBuilder::with_capacity(n, coarse.mesh.elems.len() * npe * npe);
         let ids: Vec<u32> = (0..n as u32).collect();
         let mut ws = TraversalWorkspace::with_threads(1);
-        traversal_assemble_ws(
+        traversal_assemble(
             &coarse.mesh.elems,
             0..coarse.mesh.elems.len(),
             coarse.mesh.curve,
@@ -280,7 +282,7 @@ impl<const DIM: usize> Multigrid<DIM> {
             &ids,
             &mut coo,
             &mut ws,
-            &mut mat_kernel,
+            &|| StiffnessMatrixKernel::<DIM>::new(order as usize, scale),
         );
         let mut a = coo.build().to_dense();
         for i in 0..n {
@@ -300,11 +302,9 @@ impl<const DIM: usize> Multigrid<DIM> {
             nu_pre: 2,
             nu_post: 2,
             omega: 0.7,
-            work: Mutex::new(MgWork {
-                kernel: StiffnessKernel::new(order as usize, scale),
-                ws,
-                xf: Vec::new(),
-            }),
+            order: order as usize,
+            scale,
+            work: Mutex::new(MgWork { ws, xf: Vec::new() }),
         }
     }
 
@@ -344,7 +344,7 @@ impl<const DIM: usize> Multigrid<DIM> {
         let lev = &self.levels[l];
         y.iter_mut().for_each(|v| *v = 0.0);
         let mut guard = self.work.lock().unwrap_or_else(|e| e.into_inner());
-        let MgWork { kernel, ws, xf } = &mut *guard;
+        let MgWork { ws, xf } = &mut *guard;
         // Zero constrained inputs so they don't pollute interior rows, then
         // emit identity on constrained rows.
         xf.clear();
@@ -354,7 +354,7 @@ impl<const DIM: usize> Multigrid<DIM> {
                 xf[i] = 0.0;
             }
         }
-        traversal_matvec_ws(
+        traversal_matvec(
             &lev.mesh.elems,
             0..lev.mesh.elems.len(),
             lev.mesh.curve,
@@ -362,7 +362,7 @@ impl<const DIM: usize> Multigrid<DIM> {
             xf,
             y,
             ws,
-            kernel,
+            &|| StiffnessKernel::<DIM>::new(self.order, self.scale),
         );
         drop(guard);
         for (i, &c) in lev.constrained.iter().enumerate() {

@@ -37,7 +37,7 @@ use crate::fieldeval::{candidate_bins, eval_field_lattice, FieldView, NudgePolic
 use crate::multigrid::Multigrid;
 use crate::poisson::{StiffnessKernel, StiffnessMatrixKernel};
 use carve_comm::Comm;
-use carve_core::{traversal_assemble_par, DistMesh, FusedReduce, GhostState, TraversalWorkspace};
+use carve_core::{traversal_assemble, DistMesh, FusedReduce, GhostState, TraversalWorkspace};
 use carve_geom::Subdomain;
 use carve_la::{
     block_cg_scratch, cg_with_scratch, JacobiPrecond, KrylovResult, KrylovScratch, LocalReduce,
@@ -172,7 +172,7 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
         // Locally assembled diagonal (owned-element contributions over
         // local node indices).
         let mut diag = vec![0.0; n];
-        traversal_assemble_par(
+        traversal_assemble(
             &dm.elems,
             dm.owned.clone(),
             dm.curve,
@@ -547,7 +547,6 @@ pub fn coord_field<const DIM: usize>(
 mod tests {
     use super::*;
     use carve_comm::run_spmd;
-    use carve_core::traversal_assemble;
     use carve_geom::{CarvedSolids, Sphere};
     use carve_la::{CooBuilder, Precond};
 
@@ -628,7 +627,8 @@ mod tests {
                     &dm.nodes,
                     &ids,
                     &mut coo,
-                    &mut StiffnessMatrixKernel::<2>::new(order as usize, spec.scale),
+                    &mut TraversalWorkspace::new(),
+                    &|| StiffnessMatrixKernel::<2>::new(order as usize, spec.scale),
                 );
                 let mut oracle = coo.build().diagonal();
                 dm.ghost_accumulate(c, &mut oracle);

@@ -8,7 +8,7 @@
 use crate::poisson::{load_vector, StiffnessMatrixKernel};
 use crate::sbm::{sbm_face_terms, surrogate_faces, SbmParams};
 use carve_core::{
-    resolve_slot, traversal_assemble_par, AssemblyKernel, Mesh, SlotRef, TraversalWorkspace,
+    resolve_slot, traversal_assemble, AssemblyKernel, Mesh, SlotRef, TraversalWorkspace,
 };
 use carve_geom::Subdomain;
 use carve_la::{
@@ -175,7 +175,7 @@ fn assemble_poisson_system<const DIM: usize>(
     let face_ref = &face_mats;
     let make_kernel = || PoissonAssemblyKernel::<DIM>::new(p, scale, face_ref);
     let mut ws = TraversalWorkspace::new();
-    traversal_assemble_par(
+    traversal_assemble(
         &mesh.elems,
         0..mesh.elems.len(),
         mesh.curve,

@@ -398,9 +398,19 @@ pub fn aggregate(ranks: &[Snapshot]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that read or write the process-wide switch
+    /// (`FORCE` / `BASE`), so no test sees a sibling's guard.
+    static SWITCH: Mutex<()> = Mutex::new(());
+
+    fn lock_switch() -> MutexGuard<'static, ()> {
+        SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn nested_scopes_build_hierarchical_paths() {
+        let _s = lock_switch();
         let _e = force_enabled();
         let before = thread_snapshot();
         {
@@ -422,6 +432,7 @@ mod tests {
 
     #[test]
     fn interleaved_guards_record_their_own_paths() {
+        let _s = lock_switch();
         let _e = force_enabled();
         let before = thread_snapshot();
         let a = scope("ia");
@@ -440,6 +451,7 @@ mod tests {
 
     #[test]
     fn counters_attach_to_innermost_phase() {
+        let _s = lock_switch();
         let _e = force_enabled();
         let before = thread_snapshot();
         {
@@ -456,23 +468,25 @@ mod tests {
     #[test]
     fn disabled_mode_is_a_complete_noop() {
         // No force guard, base off: scope returns None, nothing recorded.
-        let was = enabled();
+        let _s = lock_switch();
+        assert_eq!(FORCE.load(Ordering::SeqCst), 0, "a force guard is live");
+        let was = base_enabled();
         set_enabled(false);
-        assert!(FORCE.load(Ordering::SeqCst) == 0 || was, "test isolation");
-        if FORCE.load(Ordering::SeqCst) == 0 {
-            let before = thread_snapshot();
-            assert!(scope("ghost-phase").is_none());
-            counter("ghost-counter", 99);
-            let d = thread_snapshot().diff(&before);
-            assert!(
-                !d.phases.contains_key("ghost-phase") && !d.phases.contains_key(UNPHASED),
-                "disabled mode recorded data: {d:?}"
-            );
-        }
+        assert!(!enabled());
+        let before = thread_snapshot();
+        assert!(scope("ghost-phase").is_none());
+        counter("ghost-counter", 99);
+        let d = thread_snapshot().diff(&before);
+        set_enabled(was);
+        assert!(
+            !d.phases.contains_key("ghost-phase") && !d.phases.contains_key(UNPHASED),
+            "disabled mode recorded data: {d:?}"
+        );
     }
 
     #[test]
     fn cross_thread_snapshot_merges_worker_data() {
+        let _s = lock_switch();
         let _e = force_enabled();
         let before = snapshot();
         let handles: Vec<_> = (0..4)
@@ -493,6 +507,7 @@ mod tests {
 
     #[test]
     fn detached_threads_stay_out_of_global_snapshots() {
+        let _s = lock_switch();
         let _e = force_enabled();
         let before = snapshot();
         let worker_snap = std::thread::spawn(|| {
@@ -517,6 +532,7 @@ mod tests {
 
     #[test]
     fn absorb_rebased_nests_under_innermost_scope() {
+        let _s = lock_switch();
         let _e = force_enabled();
         let mut worker = Snapshot::default();
         worker.phases.insert(

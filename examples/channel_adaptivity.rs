@@ -8,7 +8,7 @@
 //! ```
 
 use carve::comm::run_spmd;
-use carve::core::{DistMesh, Mesh};
+use carve::core::{DistMesh, GhostState, Mesh, TraversalWorkspace};
 use carve::geom::RetainBox;
 use carve::sfc::{Curve, Octant};
 
@@ -36,17 +36,22 @@ fn main() {
         let _obs = carve::obs::force_enabled();
         let domain = RetainBox::<3>::channel([1.0, 1.0 / 16.0, 1.0 / 16.0]);
         let dm = DistMesh::<3>::build(comm, &domain, Curve::Hilbert, 5, 6, 1);
-        let mut cache = carve::fem::ElementCache::<3>::new(1);
+        let make_kernel = || {
+            let mut cache = carve::fem::ElementCache::<3>::new(1);
+            move |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
+                cache.apply_stiffness_tensor(e.bounds_unit().1 * 16.0, u, v);
+            }
+        };
         let x = vec![1.0; dm.nodes.len()];
         let mut y = vec![0.0; dm.nodes.len()];
         let before = carve::obs::thread_snapshot();
-        dm.matvec(
+        dm.matvec_par(
             comm,
             &x,
             &mut y,
-            &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
-                cache.apply_stiffness_tensor(e.bounds_unit().1 * 16.0, u, v);
-            },
+            &mut TraversalWorkspace::new(),
+            GhostState::Ghosted,
+            &make_kernel,
         );
         let d = carve::obs::thread_snapshot().diff(&before);
         let secs = |name: &str| d.phases.get(name).map_or(0.0, |p| p.secs);

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Perf-regression gate: run the smoke benchmark, write BENCH_PR<k>.json at
-# the repo root, and compare per-phase timings against the newest prior
-# BENCH_*.json. Fails (exit 1) if any phase's mean seconds regressed beyond
-# the tolerance; the first ever run just records the baseline.
+# Perf-regression gate: run the smoke benchmark, write BENCH_PR<k>.json, and
+# compare per-phase timings against the newest prior BENCH_*.json. Fails
+# (exit 1) if any phase's mean seconds regressed beyond the tolerance; the
+# first ever run just records the baseline. A new report number is written
+# at the repo root (to be committed); regenerating a report that is already
+# committed writes under target/bench_gate/ instead, so a CI re-run leaves
+# the tree untouched.
 #
 # Knobs (env):
 #   BENCH_PR              force the PR number for the output file
@@ -23,11 +26,17 @@ else
     k=2 # PR numbering starts where the observability layer landed
   fi
 fi
-out="BENCH_PR${k}.json"
+name="BENCH_PR${k}.json"
 
 # Newest prior report = highest PR number among committed BENCH_PR*.json,
-# excluding this run's own output (a rerun must not diff against itself).
-prev=$(ls BENCH_PR*.json 2>/dev/null | grep -Fxv "$out" | sort -V | tail -n 1 || true)
+# excluding this run's own report (a rerun must not diff against itself).
+prev=$(ls BENCH_PR*.json 2>/dev/null | grep -Fxv "$name" | sort -V | tail -n 1 || true)
+
+out="$name"
+if [[ -e "$name" ]]; then
+  mkdir -p target/bench_gate
+  out="target/bench_gate/$name"
+fi
 
 ./target/release/bench_smoke "$out"
 

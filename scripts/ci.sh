@@ -33,6 +33,10 @@
 #   scaling-gate       repro_scaling --check vs the committed scaling
 #                      artifact (per-rank replay structure at 256..28672
 #                      ranks, digests, reference-model efficiencies)
+#
+# After the selected stages, a final check fails the run if any tracked file
+# changed while it ran (`git status --porcelain` before vs after): gates
+# write their outputs under target/ or a temp dir, never over committed files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,7 +133,8 @@ run_stage() {
       ;;
     bench-gate)
       # A CI re-run must not mint a new report number: regenerate the
-      # newest committed report and gate it against its predecessor.
+      # newest committed report (under target/, leaving the committed copy
+      # untouched) and gate it against its predecessor.
       local pr="${BENCH_PR:-}"
       if [[ -z "$pr" ]]; then
         local newest
@@ -194,6 +199,14 @@ else
   selected=("${STAGES[@]}")
 fi
 
+# Tracked-file state: the porcelain listing plus a checksum of the diff
+# against HEAD, so an edit to an already-modified file also shows.
+tracked_status() {
+  git status --porcelain --untracked-files=no 2>/dev/null || true
+  git diff HEAD --binary 2>/dev/null | cksum
+}
+status_before=$(tracked_status)
+
 summary=()
 for stage in "${selected[@]}"; do
   echo "ci: ==> $stage"
@@ -202,7 +215,13 @@ for stage in "${selected[@]}"; do
   summary+=("$(printf '%-18s %5ss  ok' "$stage" "$((SECONDS - start))")")
 done
 
+if [[ "$(tracked_status)" != "$status_before" ]]; then
+  echo "ci: tracked files changed during the run:" >&2
+  diff <(echo "$status_before") <(tracked_status) >&2 || true
+  exit 1
+fi
+
 echo
 echo "ci: summary"
 printf '  %s\n' "${summary[@]}"
-echo "ci: all stages green"
+echo "ci: all stages green; tracked files unchanged"

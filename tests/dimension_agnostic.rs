@@ -5,7 +5,7 @@
 
 use carve::core::{
     check_2to1, construct_balanced, construct_boundary_refined, enumerate_nodes,
-    traversal_assemble, traversal_matvec,
+    traversal_assemble, traversal_matvec, TraversalWorkspace,
 };
 use carve::geom::{CarvedSolids, FullDomain, Sphere};
 use carve::la::{CooBuilder, DenseMatrix};
@@ -84,7 +84,6 @@ fn traversal_matvec_matches_assembly_in_4d() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
     let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let mut y1 = vec![0.0; n];
-    let mut k1 = kernel;
     traversal_matvec(
         &elems,
         0..elems.len(),
@@ -92,11 +91,12 @@ fn traversal_matvec_matches_assembly_in_4d() {
         &nodes,
         &x,
         &mut y1,
-        &mut k1,
+        &mut TraversalWorkspace::new(),
+        &|| kernel,
     );
     let mut coo = CooBuilder::new(n);
     let ids: Vec<u32> = (0..n as u32).collect();
-    let mut mk = |e: &Octant<4>| {
+    let mk = |e: &Octant<4>| {
         let h = e.bounds_unit().1;
         let mut m = DenseMatrix::zeros(npe, npe);
         for i in 0..npe {
@@ -113,7 +113,8 @@ fn traversal_matvec_matches_assembly_in_4d() {
         &nodes,
         &ids,
         &mut coo,
-        &mut mk,
+        &mut TraversalWorkspace::new(),
+        &|| mk,
     );
     let a = coo.build();
     let mut y2 = vec![0.0; n];

@@ -2,7 +2,7 @@
 //! incomplete octree → nodes → FEM solve → error, plus the distributed
 //! pipeline and the application layer.
 
-use carve::core::{DistMesh, Mesh};
+use carve::core::{DistMesh, GhostState, Mesh, TraversalWorkspace};
 use carve::fem::{l2_linf_error, solve_poisson, BcMode, PoissonProblem, SbmParams};
 use carve::geom::{CarvedSolids, RetainBox, RetainSolid, Solid, Sphere};
 use carve::ns::{FlowSolver, NodeBc, TransportSolver, VmsParams};
@@ -79,8 +79,11 @@ fn distributed_poisson_matvec_equals_sequential() {
         &seq_mesh.nodes,
         &x,
         &mut y_seq,
-        &mut |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
-            cache.apply_stiffness_dense(e.bounds_unit().1, u, v);
+        &mut TraversalWorkspace::new(),
+        &|| {
+            |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
+                cache.apply_stiffness_dense(e.bounds_unit().1, u, v);
+            }
         },
     );
     let results = carve::comm::run_spmd(3, |comm| {
@@ -91,12 +94,16 @@ fn distributed_poisson_matvec_equals_sequential() {
             .collect();
         let mut y = vec![0.0; dm.nodes.len()];
         let cache = carve::fem::ElementCache::<2>::new(1);
-        dm.matvec(
+        dm.matvec_par(
             comm,
             &x_local,
             &mut y,
-            &mut |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
-                cache.apply_stiffness_dense(e.bounds_unit().1, u, v);
+            &mut TraversalWorkspace::new(),
+            GhostState::Ghosted,
+            &|| {
+                |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
+                    cache.apply_stiffness_dense(e.bounds_unit().1, u, v);
+                }
             },
         );
         (0..dm.nodes.len())

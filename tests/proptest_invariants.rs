@@ -5,7 +5,7 @@
 use carve::baseline::ImmersedMesh;
 use carve::core::{
     check_2to1, check_tree_invariants, construct_balanced, construct_boundary_refined,
-    traversal_assemble, traversal_matvec, Mesh,
+    traversal_assemble, traversal_matvec, Mesh, TraversalWorkspace,
 };
 use carve::geom::{AxisBox, CarvedSolids, Solid, Sphere, Subdomain};
 use carve::la::CooBuilder;
@@ -126,13 +126,13 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         // 1: traversal.
         let mut y1 = vec![0.0; n];
-        let mut k1 = kernel_fn;
-        traversal_matvec(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &x, &mut y1, &mut k1);
+        let mut ws = TraversalWorkspace::new();
+        traversal_matvec(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &x, &mut y1, &mut ws, &|| kernel_fn);
         // 2: assembled.
         let npe = carve::core::nodes::nodes_per_elem::<2>(order);
         let mut coo = CooBuilder::new(n);
         let ids: Vec<u32> = (0..n as u32).collect();
-        let mut mk = |e: &Octant<2>| {
+        let mk = |e: &Octant<2>| {
             let h = e.bounds_unit().1;
             let mut m = carve::la::DenseMatrix::zeros(npe, npe);
             for i in 0..npe {
@@ -142,7 +142,7 @@ proptest! {
             }
             m
         };
-        traversal_assemble(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &ids, &mut coo, &mut mk);
+        traversal_assemble(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &ids, &mut coo, &mut ws, &|| mk);
         let a = coo.build();
         let mut y2 = vec![0.0; n];
         a.matvec(&x, &mut y2);
